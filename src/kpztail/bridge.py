@@ -54,6 +54,8 @@ class BridgeConfig:
             raise ValueError("n_paths must be >= 1")
         if self.n_time_steps not in (0,) and self.n_time_steps < 2:
             raise ValueError("n_time_steps must be >= 2 (or 0 for automatic)")
+        if self.block_size < 1:
+            raise ValueError("block_size must be >= 1")
 
     def steps_for(self, duration: float) -> int:
         if self.n_time_steps:

@@ -219,6 +219,12 @@ def test_shape_profile_pde_coarse():
     assert csv.splitlines()[0] == "t,x,h_lambda,h_star,abs_err"
 
 
+def test_bridge_config_rejects_bad_sizes():
+    for bad in ({"n_paths": 0}, {"n_time_steps": 1}, {"block_size": 0}, {"block_size": -5}):
+        with pytest.raises(ValueError):
+            BridgeConfig(**bad)
+
+
 def test_shape_profile_config_error():
     with pytest.raises(ConfigurationError):
         shape_profile(8.0, 0.5, "pde", ShapeOptions(half_width=20.0))

@@ -14,6 +14,7 @@ from kpztail.grids import (
 from kpztail.solver import (
     SolverConfig,
     SolverInstabilityError,
+    _Stepper,
     adjoint_solve,
     chaos_series_point,
     log_terminal_and_gradient,
@@ -78,6 +79,72 @@ def test_instability_error_names_step():
     vals[40:, 100] = -5e5  # violent sink makes the explicit half negative
     with pytest.raises(SolverInstabilityError, match=r"step"):
         solve_delta(SpaceTimeDeviation(tg, sg, vals))
+
+
+def _dense_step_matrices(sg, h, rho_mid):
+    """Interior blocks of M = I - (h/2)(D/2 + rho_mid) and N = I + (h/2)(D/2 + rho_mid)."""
+    m = sg.n_points - 2
+    a = (np.diag(-np.ones(m) / sg.dx**2 + rho_mid[1:-1])
+         + np.diag(np.full(m - 1, 0.5 / sg.dx**2), 1)
+         + np.diag(np.full(m - 1, 0.5 / sg.dx**2), -1))
+    return np.eye(m) - 0.5 * h * a, np.eye(m) + 0.5 * h * a
+
+
+def test_stepper_matches_dense_solve():
+    # dx = 2^-4 and h = 2^-6 make every matrix entry below exact
+    sg = SpaceGrid(4.0, 129)
+    h = 2.0**-6
+    rng = rng_from_seed(303)
+    stepper = _Stepper(sg)
+    # an ordinary potential, then one with h rho_mid / 2 > 1 at a few nodes.
+    # There M is not diagonally dominant, and M[1, 1] = 1 - (h/2)(rho - 256)
+    # is exactly zero, so elimination without row exchanges divides by zero.
+    ordinary = rng.normal(0.0, 2.0, sg.n_points)
+    strong = ordinary.copy()
+    strong[[1, 40, 90]] = [384.0, 434.0, 884.0]
+    for rho_mid in (ordinary, strong):
+        m_mat, n_mat = _dense_step_matrices(sg, h, rho_mid)
+        if rho_mid is strong:
+            assert m_mat[0, 0] == 0.0
+        v = rng.normal(size=sg.n_points)
+        v[[0, -1]] = 0.0
+        want = np.linalg.solve(m_mat, n_mat @ v[1:-1])
+        want_t = n_mat.T @ np.linalg.solve(m_mat.T, v[1:-1])
+        tol = 1e-13 * np.linalg.cond(m_mat) * np.abs(n_mat).sum(axis=1).max() * np.abs(v).max()
+        v_before = v.copy()
+        for got, ref in ((stepper.step(v, h, rho_mid), want),
+                         (stepper.step_transpose(v, h, rho_mid), want_t)):
+            assert got[0] == 0.0 and got[-1] == 0.0
+            assert np.max(np.abs(got[1:-1] - ref)) <= tol
+        assert np.array_equal(v, v_before)  # steps leave their input alone
+
+
+def test_stepper_singular_matrix_raises():
+    # one interior node whose M entry 1 - (h/2)(-1/dx^2 + rho) is exactly zero
+    sg = SpaceGrid(1.0, 3)
+    rho_mid = np.full(3, 3.0)
+    stepper = _Stepper(sg)
+    v = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        stepper.step(v, 1.0, rho_mid)
+    with pytest.raises(np.linalg.LinAlgError):
+        stepper.step_transpose(v, 1.0, rho_mid)
+
+
+def test_sweeps_raise_on_overflow():
+    # each step multiplies the smooth modes by about (1 + 0.75)/(1 - 0.75) = 7,
+    # so 400 steps overflow
+    sg = SpaceGrid(5.0, 51)
+    tg = TimeGrid(0.0, 4.0, 400)
+    rho = SpaceTimeDeviation(tg, sg, np.full((401, 51), 150.0))
+    f = Potential(sg, np.exp(-sg.x**2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverInstabilityError, match="non-finite"):
+            propagate(rho, 0.0, 4.0, f)
+        with pytest.raises(SolverInstabilityError, match="non-finite"):
+            operator_norm(rho, 0.0, 4.0, iters=10)
+        with pytest.raises(SolverInstabilityError, match="non-finite"):
+            adjoint_solve(rho, f)
 
 
 def test_propagate_heat_semigroup():
