@@ -29,6 +29,7 @@ from .grids import (
     format_value,
     l2_norm_space,
     samples_to_csv,
+    standard_grid,
 )
 from .testing import random_smooth_potential, rng_from_seed
 from .variational import RateOptions, minimizer_distance, rate_phi
@@ -68,13 +69,6 @@ def _args_config(args) -> dict:
             if k != "fn" and isinstance(v, (int, float, str, bool, list, tuple, type(None)))}
 
 
-def _standard_grid(dx: float, half_width: float) -> SpaceGrid:
-    n = int(round(2 * half_width / dx)) + 1
-    if n % 2 == 0:
-        n += 1
-    return SpaceGrid(half_width, n)
-
-
 def _named_potential(name: str, grid: SpaceGrid, amplitude: float, width: float,
                      center: float) -> Potential:
     x = grid.x
@@ -90,7 +84,7 @@ def _named_potential(name: str, grid: SpaceGrid, amplitude: float, width: float,
 # --- subcommand handlers -------------------------------------------------------
 
 def _cmd_spectral(args) -> int:
-    grid = _standard_grid(args.dx, args.half_width)
+    grid = standard_grid(args.dx, args.half_width)
     phi = _named_potential(args.phi, grid, args.amplitude, args.width, args.center)
     gs = spectral.ground_state(phi)
     bound = spectral.potbd_bound(phi)
@@ -110,7 +104,7 @@ def _cmd_spectral(args) -> int:
 
 def _cmd_rearrange_check(args) -> int:
     rng = rng_from_seed(args.seed)
-    grid = _standard_grid(args.dx, args.half_width)
+    grid = standard_grid(args.dx, args.half_width)
     worst_norm = 0.0
     worst_hl = -np.inf
     for _ in range(args.trials):
@@ -261,7 +255,7 @@ def _cmd_hitting_time(args) -> int:
 
 
 def _cmd_fk(args) -> int:
-    grid = _standard_grid(args.dx, args.half_width)
+    grid = standard_grid(args.dx, args.half_width)
     phi = _named_potential(args.phi, grid, args.amplitude, args.width, args.center)
     cfg = bridge.BridgeConfig(n_paths=args.paths, seed=args.seed)
     mean, se = bridge.fk_estimate(phi, args.duration, args.start, args.end, cfg)
@@ -419,18 +413,44 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _apply_config(ap: argparse.ArgumentParser, args, argv) -> argparse.Namespace:
+    """Parse again with the --config file's values as the subcommand's defaults.
+
+    A value is converted by the option's own type= from the text it would
+    have after the flag (a list as its comma-joined items), so it is checked
+    as that text would be.  A switch takes a JSON boolean and an option
+    without type= a string.  Flags on the command line still win.
+    """
+    try:
+        loaded = json.loads(Path(args.config).read_text())
+    except (OSError, ValueError) as exc:
+        ap.error(f"cannot read config file {args.config}: {exc}")
+    if not isinstance(loaded, dict):
+        ap.error(f"config file {args.config} must hold a JSON object")
+    subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices[args.subcommand]
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+    for key, value in loaded.items():
+        action = actions.get(key)
+        if action is None:
+            ap.error(f"unknown config field {key!r}")
+        if action.type is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            try:
+                loaded[key] = action.type(text)
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                ap.error(f"config field {key!r}: invalid value {value!r}")
+        elif not isinstance(value, bool if action.nargs == 0 else str):  # a switch or a string
+            ap.error(f"config field {key!r}: invalid value {value!r}")
+    sub.set_defaults(**loaded)
+    return ap.parse_args(argv)
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.config:
-        loaded = json.loads(Path(args.config).read_text())
-        for key, value in loaded.items():
-            if not hasattr(args, key):
-                ap.error(f"unknown config field {key!r}")
-            cli_tokens = argv if argv is not None else sys.argv[1:]
-            flag = "--" + key.replace("_", "-")
-            if not any(tok == flag or tok.startswith(flag + "=") for tok in cli_tokens):
-                setattr(args, key, value)
+        args = _apply_config(ap, args, argv)
     if getattr(args, "subcommand", None) == "tail-law" and not args.lambdas:
         ap.error("--lambdas must be a non-empty list for tail-law")
     if args.out is None:

@@ -10,7 +10,6 @@ node i is the exact floating-point negative of node (n-1-i).
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +54,14 @@ class SpaceGrid:
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
+
+
+def standard_grid(dx: float, half_width: float) -> SpaceGrid:
+    """Space grid on [-half_width, half_width] with spacing near dx and an odd node count."""
+    n = int(round(2 * half_width / dx)) + 1
+    if n % 2 == 0:
+        n += 1
+    return SpaceGrid(half_width, n)
 
 
 @dataclass(frozen=True)
@@ -181,12 +188,6 @@ def l2_norm_spacetime(rho: SpaceTimeDeviation) -> float:
     return float(np.sqrt(rho.tgrid.dt * slice_sq.sum()))
 
 
-def spacetime_inner(a: SpaceTimeDeviation, b: SpaceTimeDeviation) -> float:
-    """Space-time L2 inner product under the same quadrature as the norm."""
-    w = a.sgrid.trapezoid_weights()
-    return float(a.tgrid.dt * ((a.values[:-1] * b.values[:-1]) @ w).sum())
-
-
 # --- serialization -----------------------------------------------------------
 
 def format_value(v: float) -> str:
@@ -221,7 +222,3 @@ def field_descriptor(fld: Field) -> dict:
         "t_end": fld.tgrid.t_end,
         "n_steps": fld.tgrid.n_steps,
     }
-
-
-def field_descriptor_json(fld: Field) -> str:
-    return json.dumps(field_descriptor(fld), indent=2, sort_keys=True)

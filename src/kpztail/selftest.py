@@ -25,6 +25,7 @@ from .grids import (
     heat_kernel,
     l2_norm_space,
     l2_norm_spacetime,
+    standard_grid,
 )
 from .solver import chaos_series_point, operator_norm, solve_delta
 from .testing import random_smooth_deviation, random_smooth_potential, rng_from_seed
@@ -108,17 +109,10 @@ def _rows_csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _standard_grid(dx: float = 0.01, half_width: float = 20.0) -> SpaceGrid:
-    n = int(round(2 * half_width / dx)) + 1
-    if n % 2 == 0:
-        n += 1
-    return SpaceGrid(half_width, n)
-
-
 # --- criterion 1: exact constants --------------------------------------------
 
 def check_exact_constants(profile: Profile) -> CheckResult:
-    grid = _standard_grid(0.01, 20.0)
+    grid = standard_grid(0.01, 20.0)
     rows = []
     failures = []
 
@@ -147,7 +141,7 @@ def check_exact_constants(profile: Profile) -> CheckResult:
 def check_spectral(profile: Profile) -> CheckResult:
     failures = []
     rows = []
-    grid = _standard_grid(0.01, 20.0)
+    grid = standard_grid(0.01, 20.0)
     f_sech2 = spectral.ground_state(spectral.rho_star(grid)).value
     rows.append(("F_sech2", float(f_sech2), 0.5, 1e-4, int(abs(f_sech2 - 0.5) <= 1e-4)))
     if abs(f_sech2 - 0.5) > 1e-4:
@@ -162,7 +156,7 @@ def check_spectral(profile: Profile) -> CheckResult:
         if not ok:
             failures.append(f"scaling alpha={alpha}: F={f} vs {target}")
 
-    bound_grid = _standard_grid(0.02, 20.0)
+    bound_grid = standard_grid(0.02, 20.0)
     rng = rng_from_seed(profile.seed + 2)
     worst_margin = -np.inf
     for i in range(profile.bound_trials):
@@ -210,7 +204,7 @@ def check_solver(profile: Profile) -> CheckResult:
         failures.append(f"heat-kernel error {worst:.3g}")
 
     # kernel series vs Crank-Nicolson
-    cs_grid = _standard_grid(0.01, 10.0)
+    cs_grid = standard_grid(0.01, 10.0)
     cs_tgrid = TimeGrid(0.0, 1.0, 500)
     rho_small = SpaceTimeDeviation.time_constant(
         cs_tgrid, Potential(cs_grid, 0.1 / np.cosh(cs_grid.x) ** 2))
@@ -223,7 +217,7 @@ def check_solver(profile: Profile) -> CheckResult:
 
     # diffusive scaling identity at lam = 4
     lam = 4.0
-    grid_s = _standard_grid(0.01, 20.0)
+    grid_s = standard_grid(0.01, 20.0)
     tg_short = TimeGrid(0.0, 2.0, 1000)
     rho_short = SpaceTimeDeviation.time_constant(
         tg_short, Potential(grid_s, lam / np.cosh(np.sqrt(lam) * grid_s.x) ** 2))
@@ -238,7 +232,7 @@ def check_solver(profile: Profile) -> CheckResult:
         failures.append(f"scaling identity {rel:.3g}")
 
     # adjoint gradient against central finite differences, interior window
-    fd_grid = _standard_grid(0.05, 10.0)
+    fd_grid = standard_grid(0.05, 10.0)
     fd_tgrid = TimeGrid(0.0, 2.0, 200)
     rho_fd = SpaceTimeDeviation.time_constant(
         fd_tgrid, Potential(fd_grid, 1.0 / np.cosh(fd_grid.x) ** 2))
@@ -278,7 +272,7 @@ def check_operator_norm(profile: Profile) -> CheckResult:
     rows = []
 
     # tightness at the sech^2 profile on the wide grid
-    grid = _standard_grid(0.01, 20.0)
+    grid = standard_grid(0.01, 20.0)
     tg = TimeGrid(0.0, 2.0, 200)
     rho_s = SpaceTimeDeviation.time_constant(tg, spectral.rho_star(grid))
     res = operator_norm(rho_s, 0.0, 2.0, iters=80)
@@ -468,7 +462,7 @@ def check_bridge(profile: Profile) -> CheckResult:
     failures = []
     rows = []
     lam = profile.growth_lambda
-    grid = _standard_grid(0.05, 20.0)
+    grid = standard_grid(0.05, 20.0)
     phi = spectral.rho_star(grid)
     steps = int(round(2 * lam / profile.growth_step))
     cfg0 = bridge.BridgeConfig(n_paths=profile.growth_paths, n_time_steps=steps,

@@ -304,11 +304,17 @@ def operator_norm(rho: SpaceTimeDeviation, s: float, t: float, iters: int = 60,
     sg = rho.sgrid
     if start is not None:
         v = np.asarray(start, dtype=float).copy()
+        if v.shape != (sg.n_points,):
+            raise ValueError(f"start has shape {v.shape}; the grid needs ({sg.n_points},)")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("start has non-finite entries")
     else:
         rng = np.random.Generator(np.random.Philox(seed))
         v = 1.0 + rng.random(sg.n_points)
     v[0] = 0.0
     v[-1] = 0.0
+    if not np.any(v):
+        raise ValueError("start is zero once the walls are pinned")
     stepper = _Stepper(sg)
 
     est = 0.0

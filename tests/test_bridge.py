@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from kpztail import bridge
 from kpztail.bridge import (
     BridgeConfig,
     ConfigurationError,
@@ -243,3 +246,82 @@ def test_shape_profile_mc_spotcheck():
     for i, t in enumerate(prof.t_values):
         slack = (math.log(math.sqrt(4 * math.pi * lam)) + 2.0) / lam
         assert abs(prof.h_values[i, j0] - 0.5 * t) <= slack
+
+
+# --- bitwise pins ------------------------------------------------------------
+# Exact outputs recorded before the bridge step kernel was rewritten in place
+# (numpy 2.4, x86-64).  Each run has two full blocks and a short third one, so
+# the per-block buffers and their slicing are covered.  Arrays are pinned by
+# the SHA-256 of their little-endian float64 bytes plus a few exact entries.
+
+def _pin_cfg(n_time_steps, seed):
+    return BridgeConfig(n_paths=2500, n_time_steps=n_time_steps, seed=seed, block_size=1000)
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+def test_sample_bridge_pinned():
+    paths = sample_bridge(0.5, -0.25, 1.0, _pin_cfg(8, 41))
+    assert paths.shape == (2500, 9)
+    assert paths[0, 4] == -0.08453809201354456
+    assert paths[1000, 1] == 0.7994963760987555
+    assert paths[2499, 7] == 0.026278615455087348
+    assert _digest(paths) == "7adf9bf739cfff15007e112fd6b4e5df60d101e1c2a53db77863e8e1d7017958"
+
+
+def test_growth_rate_pinned(phi20):
+    assert growth_rate(phi20, 4.0, 0.0, _pin_cfg(40, 42), return_diagnostics=True) == (
+        0.6609262766215808,
+        {"log_mean": 5.287410212972646, "ess": 1146.2218560855968, "n_paths": 2500})
+    assert growth_rate(phi20, 4.0, 1.2, _pin_cfg(40, 43), return_diagnostics=True) == (
+        0.5915884118766058,
+        {"log_mean": 4.732707295012847, "ess": 996.6568941522967, "n_paths": 2500})
+    assert growth_rate(phi20, 4.0, 1.2, _pin_cfg(40, 43)) == 0.5915884118766058
+
+
+def test_first_hitting_times_pinned():
+    hits = first_hitting_times(1.0, 2.0, _pin_cfg(50, 44))
+    assert hits.shape == (2500,)
+    assert hits[0] == 2.0
+    assert hits[1999] == 0.2230779553185268
+    assert hits[2499] == 1.9446314808480722
+    assert _digest(hits) == "3335d2c383cdbf0d7281de92340c7cbba7a83b98c129af10b6c2d7d23ba70966"
+
+
+def test_fk_estimate_pinned(phi20):
+    assert fk_estimate(phi20, 2.0, 0.0, 0.5, _pin_cfg(20, 45)) == (
+        1.242159512953145, 0.005948025577972007)
+
+
+def test_shape_profile_mc_pinned(monkeypatch):
+    # shape_profile builds its own BridgeConfig; force three blocks per point
+    monkeypatch.setattr(bridge, "BridgeConfig", functools.partial(BridgeConfig, block_size=1000))
+    prof = shape_profile(4.0, 0.5, "mc", ShapeOptions(mc_t_count=2, mc_x_count=2, mc_paths=2500))
+    assert prof.h_values.tolist() == [[-4.074867739249011, -4.075054232738474],
+                                      [-0.9464168045726846, -0.9324713933558271]]
+
+
+def test_potential_on_path_matches_reference(phi20):
+    # the plain formula: p[i] (1 - f) + p[i + 1] f on [0, n - 2], exactly 0 elsewhere
+    def reference(phi, values):
+        grid = phi.grid
+        pos = (values + grid.half_width) / grid.dx
+        idx = np.floor(pos).astype(np.int64)
+        frac = pos - idx
+        inside = (idx >= 0) & (idx < grid.n_points - 1)
+        idx_safe = np.clip(idx, 0, grid.n_points - 2)
+        vals = phi.values[idx_safe] * (1.0 - frac) + phi.values[idx_safe + 1] * frac
+        return np.where(inside, vals, 0.0)
+
+    grid = phi20.grid
+    edges = [-grid.half_width, grid.half_width, -grid.half_width - 1e-12, grid.half_width - 1e-12,
+             -grid.half_width - 0.5 * grid.dx, grid.half_width + grid.dx, 0.0, -1e9, 1e9]
+    values = np.concatenate([edges, grid.x, rng_from_seed(3).normal(0.0, 12.0, 5000)])
+    lookup = bridge._PotentialOnPath(phi20, values.size)
+    for size in (values.size, 7):  # a short block uses the front of the buffers
+        got = lookup(values[:size])
+        want = reference(phi20, values[:size])
+        assert np.array_equal(got, want)
+        assert not np.signbit(got[want == 0.0]).any()

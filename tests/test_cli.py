@@ -112,6 +112,52 @@ def test_config_file_with_flag_override(tmp_path):
     assert rep["duration"] == 1.0       # flag wins over the file
 
 
+def test_config_values_use_option_types(tmp_path):
+    # a string or a list in the file converts with the option's own type=, as the flag does
+    small = ["--n-points", "101", "--dt", "0.1", "--max-iterations", "3"]
+    flag_out, file_out = tmp_path / "flag", tmp_path / "file"
+    cfgfile = tmp_path / "cfg.json"
+    code = main(["tail-law", "--lambdas", "4,8", *small, "--out", str(flag_out)])
+    for lambdas in ("4,8", [4, 8]):
+        cfgfile.write_text(json.dumps({"lambdas": lambdas}))
+        assert main(["tail-law", "--config", str(cfgfile), *small, "--out", str(file_out)]) == code
+        for name in ("tail_law.csv", "tail_law.json"):
+            assert read(file_out / name) == read(flag_out / name)
+        manifest = json.loads(read(file_out / "manifest.json"))
+        assert manifest["config"]["lambdas"] == [4.0, 8.0]
+
+
+@pytest.mark.parametrize("subcommand, field", [
+    ("tail-law", {"lambdas": "4,x"}),
+    ("tail-law", {"max_iterations": "many"}),
+    ("tail-law", {"max_iterations": 2.5}),
+    ("tail-law", {"max_iterations": [3, 4]}),
+    ("tail-law", {"out": 3}),
+    ("tail-law", {"no_such_option": 1}),
+    ("tail-law", {"fn": "x"}),
+    ("selftest", {"quick": "no"}),
+])
+def test_config_bad_value_is_usage_error(tmp_path, capsys, subcommand, field):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(field))
+    with pytest.raises(SystemExit) as err:
+        main([subcommand, "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert next(iter(field)) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("body", [None, "{not json", "[1, 2]"])
+def test_config_file_unreadable_is_usage_error(tmp_path, capsys, body):
+    cfgfile = tmp_path / "cfg.json"
+    if body is not None:
+        cfgfile.write_text(body)
+    with pytest.raises(SystemExit) as err:
+        main(["figure1", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "config file" in capsys.readouterr().err
+
+
 def test_selftest_quick_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["selftest", "--quick", "--criteria", "1", "--out", str(out1)]) == 0

@@ -266,6 +266,19 @@ def test_operator_norm_random_bound():
         operator_norm(rho, 0.0, 2.0, iters=5)
 
 
+@pytest.mark.parametrize("start, message", [
+    (np.ones(50), "start has shape"),
+    (np.where(np.arange(51) == 25, np.nan, 1.0), "start has non-finite"),
+    (np.zeros(51), "start is zero"),
+    (np.eye(51)[0], "start is zero"),  # nonzero only on a wall node
+])
+def test_operator_norm_rejects_bad_start(start, message):
+    sg = SpaceGrid(5.0, 51)
+    rho = zero_deviation(TimeGrid(0.0, 1.0, 20), sg)
+    with pytest.raises(ValueError, match=message):
+        operator_norm(rho, 0.0, 1.0, iters=10, start=start)
+
+
 def test_adjoint_heat_time_reversal():
     sg = SpaceGrid(10.0, 1001)
     tg = TimeGrid(0.0, 2.0, 400)
