@@ -515,15 +515,13 @@ def _shape_profile_pde(lam: float, delta: float, opts: ShapeOptions) -> ShapePro
     t_end = 2.0 * lam
     tgrid = TimeGrid(0.0, t_end, int(round(t_end / opts.dt)))
     x = sgrid.x
-    rho = SpaceTimeDeviation(
-        tgrid, sgrid, np.tile(1.0 / np.cosh(x) ** 2, (tgrid.n_steps + 1, 1))
-    )
-    sol = solve_delta_scaled(rho, SolverConfig(delta_warmup=opts.delta_warmup))
+    rho = SpaceTimeDeviation.time_constant(tgrid, Potential(sgrid, 1.0 / np.cosh(x) ** 2))
 
     stride_t = max(1, int(round(opts.t_step * lam / tgrid.dt)))
     k_lo = int(math.ceil(lam * delta / tgrid.dt - 1e-9))
     k_hi = tgrid.n_steps
     k_idx = np.arange(k_lo, k_hi + 1, stride_t)
+    sol = solve_delta_scaled(rho, SolverConfig(delta_warmup=opts.delta_warmup), keep=k_idx)
     stride_x = max(1, int(round(opts.x_step * lam / sgrid.dx)))
     i0 = sgrid.center_index
     reach = int(math.floor((lam / delta) / (stride_x * sgrid.dx)))
@@ -531,7 +529,7 @@ def _shape_profile_pde(lam: float, delta: float, opts: ShapeOptions) -> ShapePro
 
     t_vals = tgrid.times[k_idx] / lam
     x_vals = x[i_idx] / lam
-    log_rows = np.log(sol.rows[np.ix_(k_idx, i_idx)]) + sol.log_scale[k_idx][:, None]
+    log_rows = np.log(sol.rows[:, i_idx]) + sol.log_scale[:, None]
     h = (0.5 * math.log(lam) + log_rows) / lam
     hs = np.array([[h_star(t, xv) for xv in x_vals] for t in t_vals])
     return ShapeProfile(lam, delta, "pde", t_vals, x_vals, h, hs)

@@ -43,10 +43,11 @@ class SpaceGrid:
         return (self.n_points - 1) // 2
 
     def index_of(self, x: float) -> int:
-        """Nearest node index; raises if x is not within half a cell of a node."""
+        """Index of the node at x; raises unless x is a node up to round-off."""
         i = int(round((x + self.half_width) / self.dx))
-        if i < 0 or i >= self.n_points or abs(self.x[i] - x) > 0.5 * self.dx + 1e-12:
-            raise ValueError(f"position {x} outside grid [-{self.half_width}, {self.half_width}]")
+        if (i < 0 or i >= self.n_points
+                or abs(self.dx * (i - self.center_index) - x) > 1e-9 * max(1.0, self.half_width)):
+            raise ValueError(f"position {x} is not a grid node of {self}")
         return i
 
     def trapezoid_weights(self) -> np.ndarray:
@@ -97,7 +98,9 @@ def _check_values(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape != shape:
         raise ValueError(f"{what} has shape {values.shape}, expected {shape}")
-    if not np.all(np.isfinite(values)):
+    # a time-constant deviation repeats one row through a stride-0 view
+    distinct = values[:1] if values.strides[0] == 0 else values
+    if not np.all(np.isfinite(distinct)):
         raise ValueError(f"{what} contains non-finite entries")
     return values
 
@@ -136,7 +139,8 @@ class SpaceTimeDeviation:
 
     @classmethod
     def time_constant(cls, tgrid: TimeGrid, phi: Potential) -> "SpaceTimeDeviation":
-        vals = np.tile(phi.values, (tgrid.n_steps + 1, 1))
+        """phi at every time node, held as one read-only row (a stride-0 view)."""
+        vals = np.broadcast_to(phi.values.copy(), (tgrid.n_steps + 1, phi.grid.n_points))
         return cls(tgrid, phi.grid, vals)
 
     def slice_potential(self, k: int) -> Potential:

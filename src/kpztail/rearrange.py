@@ -53,7 +53,7 @@ def steiner(rho: SpaceTimeDeviation) -> SpaceTimeDeviation:
     """Slice-wise rearrangement in space, one time slice at a time."""
     if np.any(rho.values < 0):
         raise ValueError("Steiner symmetrization requires rho >= 0")
-    out = np.empty_like(rho.values)
+    out = np.empty(rho.values.shape)
     for k in range(rho.values.shape[0]):
         out[k] = _rearrange_values(rho.values[k])
     return SpaceTimeDeviation(rho.tgrid, rho.sgrid, out)
@@ -121,10 +121,7 @@ def bll_check(f1: Potential, f2: Potential, f3: Potential, coeffs) -> tuple[floa
 
 def steiner_increases_z(rho: SpaceTimeDeviation, cfg=None) -> tuple[float, float]:
     """(Z(rho; T, 0), Z(rho^s; T, 0)); symmetrization never decreases the value."""
-    from .solver import SolverConfig, solve_delta
+    from .solver import solve_delta_at
 
-    cfg = cfg or SolverConfig()
     t_end = rho.tgrid.t_end
-    z = solve_delta(rho, cfg).at(t_end, 0.0)
-    z_s = solve_delta(steiner(rho), cfg).at(t_end, 0.0)
-    return float(z), float(z_s)
+    return solve_delta_at(rho, t_end, 0.0, cfg), solve_delta_at(steiner(rho), t_end, 0.0, cfg)

@@ -27,7 +27,7 @@ from .grids import (
     l2_norm_spacetime,
     standard_grid,
 )
-from .solver import chaos_series_point, operator_norm, solve_delta
+from .solver import chaos_series_point, operator_norm, solve_delta, solve_delta_at
 from .testing import random_smooth_deviation, random_smooth_potential, rng_from_seed
 from .variational import RateOptions, minimizer_distance, rate_phi, terminal_gradient
 
@@ -208,7 +208,7 @@ def check_solver(profile: Profile) -> CheckResult:
     cs_tgrid = TimeGrid(0.0, 1.0, 500)
     rho_small = SpaceTimeDeviation.time_constant(
         cs_tgrid, Potential(cs_grid, 0.1 / np.cosh(cs_grid.x) ** 2))
-    z_cn = solve_delta(rho_small).at(1.0, 0.0)
+    z_cn = solve_delta_at(rho_small, 1.0, 0.0)
     z_series = chaos_series_point(rho_small, 1.0, 0.0, order=6)
     rel = abs(z_series - z_cn) / abs(z_cn)
     rows.append(("chaos_vs_cn_rel", float(rel), 0.0, 1e-3, int(rel <= 1e-3)))
@@ -221,11 +221,11 @@ def check_solver(profile: Profile) -> CheckResult:
     tg_short = TimeGrid(0.0, 2.0, 1000)
     rho_short = SpaceTimeDeviation.time_constant(
         tg_short, Potential(grid_s, lam / np.cosh(np.sqrt(lam) * grid_s.x) ** 2))
-    lhs = solve_delta(rho_short).at(2.0, 0.0)
+    lhs = solve_delta_at(rho_short, 2.0, 0.0)
     tg_long = TimeGrid(0.0, 2.0 * lam, int(1000 * lam))
     rho_long = SpaceTimeDeviation.time_constant(
         tg_long, Potential(grid_s, 1.0 / np.cosh(grid_s.x) ** 2))
-    rhs = np.sqrt(lam) * solve_delta(rho_long).at(2.0 * lam, 0.0)
+    rhs = np.sqrt(lam) * solve_delta_at(rho_long, 2.0 * lam, 0.0)
     rel = abs(lhs - rhs) / abs(rhs)
     rows.append(("scaling_identity_rel", float(rel), 0.0, 1e-3, int(rel <= 1e-3)))
     if rel > 1e-3:
@@ -246,9 +246,9 @@ def check_solver(profile: Profile) -> CheckResult:
         i = int(rng.integers(fd_grid.center_index - 20, fd_grid.center_index + 21))
         base = rho_fd.values.copy()
         base[k, i] += h
-        zp = solve_delta(SpaceTimeDeviation(fd_tgrid, fd_grid, base)).at(2.0, 0.0)
+        zp = solve_delta_at(SpaceTimeDeviation(fd_tgrid, fd_grid, base), 2.0, 0.0)
         base[k, i] -= 2 * h
-        zm = solve_delta(SpaceTimeDeviation(fd_tgrid, fd_grid, base)).at(2.0, 0.0)
+        zm = solve_delta_at(SpaceTimeDeviation(fd_tgrid, fd_grid, base), 2.0, 0.0)
         fd = (zp - zm) / (2 * h)
         an = grad.values[k, i] * dt * dx
         rel = abs(fd - an) / max(abs(fd), 1e-12)

@@ -27,15 +27,22 @@ elimination with partial pivoting, the routine `solve_banded` itself uses
 for one sub- and one super-diagonal.  It is called directly because
 `solve_banded`'s argument validation costs several times the solve itself
 at n = 401.  The call does not check its input for non-finite values, so every
-sweep checks its result.  Two things are deliberately left out (measured on
-a 2-vCPU Xeon VM):
-- no cache of factors between the forward march and the gradient's backward
-  sweep: at n = 801 it holds about 23 MB per gradient call, raised the peak
-  memory of the benchmark's `probes` workload by 18%, and saves one
-  factorization (about 7 us) per backward step;
-- no nt x n precompute (of the rho_mid rows or of M's diagonals): the
-  limit-shape runs already hold a field and a tiled rho of about 295 MB
-  each at L = 32.
+sweep checks its result.
+
+A time-constant deviation (`SpaceTimeDeviation.time_constant`, rows held as
+one stride-0 view) has the same M on every grid interval.  The delta march
+then factors M once with `dgttrf` and runs `dgttrs` on each step: the same
+elimination with the same pivot test, so the rows are bitwise those of
+`dgtsv`.  The march stores only the time nodes its caller keeps.  Measured on
+a 2-vCPU Xeon VM:
+- one factorization per time-constant march: at n = 5761 a march step
+  takes about 138 us against 218 us when each step rebuilds M for `dgtsv`,
+  and a limit-shape run at L = 32 peaks at 83 MB instead of 644 MB;
+- still no cache of factors between the forward march and the gradient's
+  backward sweep: the gradient serves the rate optimizer, whose deviations
+  vary in time.  At n = 801 such a cache holds about 23 MB per gradient call,
+  raised the peak memory of the benchmark's `probes` workload by 18%, and
+  saves one factorization (about 7 us) per backward step.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .grids import (
     Field,
@@ -83,10 +90,20 @@ def _rho_mid(rho: SpaceTimeDeviation, k: int) -> np.ndarray:
     return 0.5 * (rho.values[k] + rho.values[k + 1])
 
 
+def _apply_n(v: np.ndarray, n_diag: np.ndarray, n_off: float) -> np.ndarray:
+    """N v for N with diagonal n_diag and off-diagonal n_off; walls pinned to 0."""
+    out = v * n_diag
+    out[1:-1] += n_off * (v[2:] + v[:-2])
+    out[0] = 0.0
+    out[-1] = 0.0
+    return out
+
+
 class _Stepper:
     """One CN step on a fixed SpaceGrid; matrices rebuilt per (h, rho_mid).
 
-    M and N share the diagonal kin_diag + rho_mid, computed once per step.
+    M and N share the diagonal kin_diag + rho_mid, computed once per step
+    (once per march for a time-constant rho, see `interval_step`).
     """
 
     def __init__(self, sgrid: SpaceGrid):
@@ -101,21 +118,22 @@ class _Stepper:
         self._dl_unit[-1] = 0.0
 
     def apply_n(self, v: np.ndarray, h: float, diag: np.ndarray) -> np.ndarray:
-        out = v * (1.0 + 0.5 * h * diag)
-        out[1:-1] += 0.5 * h * self.kin_off * (v[2:] + v[:-2])
-        out[0] = 0.0
-        out[-1] = 0.0
-        return out
+        return _apply_n(v, 1.0 + 0.5 * h * diag, 0.5 * h * self.kin_off)
 
-    def solve_m(self, rhs: np.ndarray, h: float, diag: np.ndarray) -> np.ndarray:
-        """M^{-1} rhs, computed in the storage of rhs (which is overwritten)."""
+    def _m_bands(self, h: float, diag: np.ndarray):
+        """(sub-, main, super-diagonal) of M, as fresh arrays LAPACK may overwrite."""
         off = -0.5 * h * self.kin_off
         d = 1.0 - 0.5 * h * diag
         d[0] = 1.0
         d[-1] = 1.0
+        return self._dl_unit * off, d, self._du_unit * off
+
+    def solve_m(self, rhs: np.ndarray, h: float, diag: np.ndarray) -> np.ndarray:
+        """M^{-1} rhs, computed in the storage of rhs (which is overwritten)."""
+        dl, d, du = self._m_bands(h, diag)
         rhs[0] = 0.0
         rhs[-1] = 0.0
-        _, _, _, x, info = dgtsv(self._dl_unit * off, d, self._du_unit * off, rhs, 1, 1, 1, 1)
+        _, _, _, x, info = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         return x
@@ -123,6 +141,30 @@ class _Stepper:
     def step(self, v: np.ndarray, h: float, rho_mid: np.ndarray) -> np.ndarray:
         diag = self.kin_diag + rho_mid
         return self.solve_m(self.apply_n(v, h, diag), h, diag)
+
+    def interval_step(self, rho: SpaceTimeDeviation, h: float):
+        """Callable (v, k) -> one step of length h over time interval k of rho.
+
+        A time-constant rho (stride-0 rows) has the same M and N on every
+        interval: their coefficients are computed once, M is factored once
+        with dgttrf, and each call runs dgttrs.  dgttrf uses dgtsv's pivot
+        test and elimination, so the result is bitwise that of `step`.
+        """
+        if rho.values.strides[0] != 0:
+            return lambda v, k: self.step(v, h, _rho_mid(rho, k))
+        diag = self.kin_diag + _rho_mid(rho, 0)
+        n_diag = 1.0 + 0.5 * h * diag
+        n_off = 0.5 * h * self.kin_off
+        dl, d, du, du2, ipiv, info = dgttrf(*self._m_bands(h, diag), 1, 1, 1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+
+        def fixed_step(v: np.ndarray, k: int) -> np.ndarray:
+            # _apply_n leaves the wall entries zero, as solve_m would set them
+            x, _ = dgttrs(dl, d, du, du2, ipiv, _apply_n(v, n_diag, n_off), overwrite_b=1)
+            return x
+
+        return fixed_step
 
     def step_transpose(self, v: np.ndarray, h: float, rho_mid: np.ndarray) -> np.ndarray:
         # (M^{-1} N)^T = N M^{-1} for symmetric M, N on the pinned subspace
@@ -164,7 +206,8 @@ def _require_finite(v: np.ndarray, where: str) -> None:
         raise SolverInstabilityError(f"non-finite values in {where}")
 
 
-def _check_slice(v: np.ndarray, step_label: str) -> np.ndarray:
+def _check_slice(v: np.ndarray, step_label: str) -> tuple[np.ndarray, float]:
+    """(v floored at POSITIVITY_FLOOR, max of v); raises on an unstable step."""
     # NaN and +-inf propagate through max and min, so the two reductions
     # also detect every non-finite entry
     m = v.max()
@@ -175,30 +218,63 @@ def _check_slice(v: np.ndarray, step_label: str) -> np.ndarray:
         raise SolverInstabilityError(f"field collapsed to non-positive values at step {step_label}")
     if lo < -NEGATIVE_NOISE_TOL * m:
         raise SolverInstabilityError(f"negative values beyond noise level at step {step_label}")
-    return np.maximum(v, POSITIVITY_FLOOR)
+    return np.maximum(v, POSITIVITY_FLOOR), m
 
 
 @dataclass(frozen=True)
 class ScaledSolution:
-    """Delta-data solution stored as rows * exp(log_scale) to dodge overflow."""
+    """Delta-data solution stored as rows * exp(log_scale) to dodge overflow.
+
+    Row j holds time node nodes[j] of tgrid; a march that keeps every node
+    has nodes == arange(n_steps + 1).
+    """
 
     tgrid: TimeGrid
     sgrid: SpaceGrid
     rows: np.ndarray
     log_scale: np.ndarray
+    nodes: np.ndarray
+
+    def _row(self, t: float) -> int:
+        k = self.tgrid.index_of(t)
+        j = int(np.searchsorted(self.nodes, k))
+        if j == self.nodes.size or self.nodes[j] != k:
+            raise ValueError(f"time {t} is not among the kept time nodes")
+        return j
 
     def log_at(self, t: float, x: float) -> float:
-        k = self.tgrid.index_of(t)
+        j = self._row(t)
         i = self.sgrid.index_of(x)
-        return float(np.log(self.rows[k, i]) + self.log_scale[k])
+        return float(np.log(self.rows[j, i]) + self.log_scale[j])
+
+    def value_at(self, t: float, x: float) -> float:
+        """Z(t, x), computed as `field()` computes it."""
+        j = self._row(t)
+        i = self.sgrid.index_of(x)
+        with np.errstate(over="raise"):
+            return float(self.rows[j, i] * np.exp(self.log_scale[j]))
 
     def field(self) -> Field:
+        if self.nodes.size != self.tgrid.n_steps + 1:
+            raise ValueError("field() needs every time node; the march kept only some")
         with np.errstate(over="raise"):
             vals = self.rows * np.exp(self.log_scale)[:, None]
         return Field(self.tgrid, self.sgrid, vals, strictly_positive=True)
 
 
-def _march_delta(rho: SpaceTimeDeviation, cfg: SolverConfig, keep_warmup: bool = False):
+def _kept_nodes(keep, nt: int) -> np.ndarray:
+    if keep is None:
+        return np.arange(nt + 1)
+    nodes = np.asarray(keep)
+    if (nodes.ndim != 1 or nodes.size == 0 or nodes.dtype.kind not in "iu"
+            or nodes[0] < 0 or nodes[-1] > nt or np.any(np.diff(nodes) <= 0)):
+        raise ValueError(f"keep must list increasing time-node indices in [0, {nt}]")
+    return nodes
+
+
+def _march_delta(rho: SpaceTimeDeviation, cfg: SolverConfig, keep=None,
+                 keep_warmup: bool = False):
+    """Delta-data march that stores the rows of the time nodes `keep` (default all)."""
     tg, sg = rho.tgrid, rho.sgrid
     if tg.t_start != 0.0:
         raise ValueError("delta-data solves start at t = 0")
@@ -210,48 +286,66 @@ def _march_delta(rho: SpaceTimeDeviation, cfg: SolverConfig, keep_warmup: bool =
     x = sg.x
     nt = tg.n_steps
 
-    rows = np.empty((nt + 1, sg.n_points))
-    log_scale = np.zeros(nt + 1)
+    nodes = _kept_nodes(keep, nt)
+    slot = np.full(nt + 1, -1)
+    slot[nodes] = np.arange(nodes.size)
+    rows = np.empty((nodes.size, sg.n_points))
+    log_scale = np.zeros(nodes.size)
+    scale = 0.0
+
+    def settle(k: int, v: np.ndarray, m: float) -> np.ndarray:
+        """Renormalize node k's values if their max m is large, and keep the row."""
+        nonlocal scale
+        if m > RENORM_THRESHOLD:
+            scale += np.log(m)
+            v = v / m
+        j = slot[k]
+        if j >= 0:
+            rows[j] = v
+            log_scale[j] = scale
+        return v
 
     rho0 = rho.values[0]
     base = heat_kernel(t0, x)
     # unit discrete mass even when sqrt(t0) is marginal against dx
     base = base / np.dot(sg.trapezoid_weights(), base)
-    v = base * np.exp(0.5 * t0 * (rho0 + rho0[sg.center_index]))
-    rows[0] = _check_slice(v, "warmup")
+    v, _ = _check_slice(base * np.exp(0.5 * t0 * (rho0 + rho0[sg.center_index])), "warmup")
+    if slot[0] >= 0:
+        rows[0] = v
 
-    v = rows[0]
-    scale = 0.0
     warm_steps = _warmup_substeps(t0, dt)
     warm_vals = [v]
     rho_mid = _rho_mid(rho, 0)
     for j, h in enumerate(warm_steps):
-        v = _check_slice(stepper.step(v, h, rho_mid), f"warmup substep {j}")
+        v, m = _check_slice(stepper.step(v, h, rho_mid), f"warmup substep {j}")
         warm_vals.append(v)
-    m = v.max()
-    if m > RENORM_THRESHOLD:
-        scale += np.log(m)
-        v = v / m
-    rows[1] = v
-    log_scale[1] = scale
+    v = settle(1, v, m)
 
+    step = stepper.interval_step(rho, dt)
     for k in range(1, nt):
-        v = _check_slice(stepper.step(v, dt, _rho_mid(rho, k)), str(k + 1))
-        m = v.max()
-        if m > RENORM_THRESHOLD:
-            scale += np.log(m)
-            v = v / m
-        rows[k + 1] = v
-        log_scale[k + 1] = scale
-    sol = ScaledSolution(tg, sg, rows, log_scale)
+        v, m = _check_slice(step(v, k), str(k + 1))
+        v = settle(k + 1, v, m)
+    sol = ScaledSolution(tg, sg, rows, log_scale, nodes)
     if keep_warmup:
         return sol, warm_vals, warm_steps
     return sol
 
 
-def solve_delta_scaled(rho: SpaceTimeDeviation, cfg: SolverConfig | None = None) -> ScaledSolution:
+def solve_delta_scaled(rho: SpaceTimeDeviation, cfg: SolverConfig | None = None,
+                       keep=None) -> ScaledSolution:
+    """Delta-data solve in scaled rows; `keep` lists the increasing time-node
+    indices whose rows are stored (default: every node)."""
     cfg = cfg or SolverConfig()
-    return _march_delta(rho, cfg)
+    return _march_delta(rho, cfg, keep)
+
+
+def solve_delta_at(rho: SpaceTimeDeviation, t: float, x: float,
+                   cfg: SolverConfig | None = None) -> float:
+    """Z(rho; t, x) from a delta at (0, 0), storing only the row of time t.
+
+    Bitwise equal to `solve_delta(rho, cfg).at(t, x)`.
+    """
+    return solve_delta_scaled(rho, cfg, keep=[rho.tgrid.index_of(t)]).value_at(t, x)
 
 
 def solve_delta(rho: SpaceTimeDeviation, cfg: SolverConfig | None = None) -> Field:
@@ -390,13 +484,21 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation, cfg: SolverConfig | None 
     u = np.zeros(sg.n_points)
     u[i0] = 1.0 / rows[nt, i0]
     partials = np.zeros((nt + 1, sg.n_points))
+    rel_scale = np.exp(ls - ls[nt])
+    # z_hi holds the scaled row k + 1; each step scales only row k
+    z_hi = rows[nt] * rel_scale[nt]
+    z_lo = np.empty(sg.n_points)
     for k in range(nt - 1, 0, -1):
         diag = stepper.kin_diag + _rho_mid(rho, k)
         half = stepper.solve_m(u, dt, diag)
-        zsum = rows[k] * np.exp(ls[k] - ls[nt]) + rows[k + 1] * np.exp(ls[k + 1] - ls[nt])
-        g = 0.25 * dt * zsum * half
+        np.multiply(rows[k], rel_scale[k], out=z_lo)
+        g = z_hi
+        g += z_lo
+        g *= 0.25 * dt
+        g *= half
         partials[k] += g
         partials[k + 1] += g
+        z_hi, z_lo = z_lo, g
         u = stepper.apply_n(half, dt, diag)
 
     # first interval: replay the warm-up sub-steps (rows 0..1 are unscaled)
@@ -483,6 +585,6 @@ def _chaos_field(rho: SpaceTimeDeviation, cfg: SolverConfig) -> Field:
     for zn in terms:
         vals += zn
     for k in range(1, tg.n_steps + 1):
-        vals[k] = _check_slice(vals[k], f"chaos sum row {k}")
+        vals[k], _ = _check_slice(vals[k], f"chaos sum row {k}")
     vals[0] = np.maximum(heat_kernel(cfg.delta_warmup, sg.x), POSITIVITY_FLOOR)
     return Field(tg, sg, vals, strictly_positive=True)

@@ -101,7 +101,7 @@ def _target_log(lam: float) -> float:
 
 
 def log_z_terminal(rho: SpaceTimeDeviation, cfg: SolverConfig) -> float:
-    sol = solve_delta_scaled(rho, cfg)
+    sol = solve_delta_scaled(rho, cfg, keep=[rho.tgrid.n_steps])
     return sol.log_at(rho.tgrid.t_end, 0.0)
 
 
@@ -280,9 +280,13 @@ def minimizer_distance(report: RateReport) -> float:
 
 def height_function(rho: SpaceTimeDeviation, lam: float, t: float, x: float,
                     cfg: SolverConfig | None = None) -> float:
-    """h_lam(rho; t, x) = lam^-1 log(lam^(1/2) Z(rho; lam t, lam x))."""
+    """h_lam(rho; t, x) = lam^-1 log(lam^(1/2) Z(rho; lam t, lam x)).
+
+    lam t must be a node of rho's time grid and lam x a node of its space
+    grid, up to round-off; otherwise the lookup raises ValueError.
+    """
     cfg = cfg or SolverConfig()
-    sol = solve_delta_scaled(rho, cfg)
+    sol = solve_delta_scaled(rho, cfg, keep=[rho.tgrid.index_of(lam * t)])
     return float((0.5 * np.log(lam) + sol.log_at(lam * t, lam * x)) / lam)
 
 

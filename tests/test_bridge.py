@@ -303,6 +303,14 @@ def test_shape_profile_mc_pinned(monkeypatch):
                                       [-0.9464168045726846, -0.9324713933558271]]
 
 
+def test_shape_profile_pde_pinned():
+    # the CSV body of the forward march, as written before it kept only the read rows
+    prof = shape_profile(8.0, 0.5, "pde", ShapeOptions(dx=0.1, dt=0.02))
+    body = prof.to_csv().encode()
+    assert hashlib.sha256(body).hexdigest() == (
+        "fb0b22a25bbe6035971eb4d817dd950479563b63c25ad75165696e1b1626fb39")
+
+
 def test_potential_on_path_matches_reference(phi20):
     # the plain formula: p[i] (1 - f) + p[i + 1] f on [0, n - 2], exactly 0 elsewhere
     def reference(phi, values):

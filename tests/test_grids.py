@@ -39,6 +39,19 @@ def test_space_grid_exact_negation(half_nodes, half_width):
     assert x[g.center_index] == 0.0
 
 
+def test_space_grid_index_of_needs_a_node():
+    g = SpaceGrid(4.0, 81)  # dx = 0.1
+    assert g.index_of(0.0) == 40
+    assert g.index_of(-4.0) == 0 and g.index_of(4.0) == 80
+    for i in (0, 13, 40, 77, 80):
+        assert g.index_of(g.x[i]) == i
+    assert g.index_of(0.3) == 43  # 0.3 is a node up to round-off
+    assert g.index_of(8 * 0.35) == 68  # lam x with lam = 8, x = 0.35
+    for off_node in (0.05, 0.3 + 1e-6, -3.96, 4.04, 5.0, -100.0):
+        with pytest.raises(ValueError, match="not a grid node"):
+            g.index_of(off_node)
+
+
 def test_time_grid():
     tg = TimeGrid(0.0, 2.0, 200)
     assert tg.dt == pytest.approx(0.01)
@@ -134,3 +147,25 @@ def test_csv_twelve_significant_digits():
     v = 0.123456789012345
     fld = Field(tg, g, np.full((2, 3), v))
     assert "0.123456789012" in field_to_csv(fld)
+
+
+def test_time_constant_deviation_is_a_read_only_row(grid20, sech2_20):
+    tg = TimeGrid(0.0, 1.0, 50)
+    rho = SpaceTimeDeviation.time_constant(tg, sech2_20)
+    assert rho.values.shape == (51, grid20.n_points)
+    assert rho.values.strides[0] == 0
+    assert np.array_equal(rho.values[37], sech2_20.values)
+    with pytest.raises(ValueError, match="read-only"):
+        rho.values[3, 5] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        rho.values += 1.0
+    # the row is a copy: later writes to the potential's array do not leak in
+    phi = Potential(grid20, sech2_20.values.copy())
+    held = SpaceTimeDeviation.time_constant(tg, phi)
+    phi.values[0] = 5.0
+    assert held.values[10, 0] == sech2_20.values[0]
+    # a broadcast row is still checked for non-finite entries
+    row = sech2_20.values.copy()
+    row[7] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        SpaceTimeDeviation(tg, grid20, np.broadcast_to(row, (51, grid20.n_points)))

@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgttrf
 
 from kpztail.grids import (
     Potential,
@@ -21,6 +23,7 @@ from kpztail.solver import (
     operator_norm,
     propagate,
     solve_delta,
+    solve_delta_at,
     solve_delta_scaled,
 )
 from kpztail.spectral import f_time_integral, rho_star
@@ -332,3 +335,68 @@ def test_renormalized_march_reports_log_values():
     l1 = sol.log_at(8.0, 0.0)
     l2 = sol.log_at(16.0, 0.0)
     assert (l2 - l1) / 8.0 == pytest.approx(0.5, abs=2e-3)
+
+
+@pytest.mark.parametrize("half_width, n_points, t_end, n_steps, profile, pivot_rows", [
+    # renormalizes: log Z grows past log(1e120)
+    (10.0, 401, 8.0, 800, lambda x: 40.0 / np.cosh(x) ** 2, []),
+    # h > 4 dx^2: the identity wall row 0 is smaller than M[1, 0], so rows swap
+    (5.0, 101, 1.0, 10, lambda x: 10.0 / np.cosh(x - 1.0) ** 2, [0, 1]),
+    # a spike with (h/2) rho > 1 also swaps interior rows
+    (5.0, 101, 1.0, 10, lambda x: np.where(np.abs(x - 1.0) < 1e-9, 60.0, 0.0), [0, 1, 60, 61, 62]),
+])
+def test_time_constant_march_matches_materialized(half_width, n_points, t_end, n_steps,
+                                                  profile, pivot_rows):
+    sg = SpaceGrid(half_width, n_points)
+    tg = TimeGrid(0.0, t_end, n_steps)
+    rho_mid = profile(sg.x)
+    stepper = _Stepper(sg)
+    ipiv = dgttrf(*stepper._m_bands(tg.dt, stepper.kin_diag + rho_mid))[4]
+    assert np.flatnonzero(ipiv != np.arange(1, n_points + 1)).tolist() == pivot_rows
+
+    constant = SpaceTimeDeviation.time_constant(tg, Potential(sg, rho_mid))
+    copied = SpaceTimeDeviation(tg, sg, np.array(constant.values))
+    assert constant.values.strides[0] == 0 and copied.values.strides[0] != 0
+    factored, stepped = solve_delta_scaled(constant), solve_delta_scaled(copied)
+    assert np.array_equal(factored.rows, stepped.rows)
+    assert np.array_equal(factored.log_scale, stepped.log_scale)
+    if not pivot_rows:
+        assert factored.log_scale[-1] > np.log(1e120)
+
+
+def test_kept_rows_match_full_march():
+    sg = SpaceGrid(10.0, 201)
+    tg = TimeGrid(0.0, 2.0, 200)
+    varying = random_smooth_deviation(rng_from_seed(17), tg, sg)
+    constant = SpaceTimeDeviation.time_constant(tg, rho_star(sg))
+    keep = np.array([0, 1, 37, 150, 200])
+    for rho in (varying, constant):
+        full = solve_delta_scaled(rho)
+        part = solve_delta_scaled(rho, keep=keep)
+        assert np.array_equal(part.nodes, keep)
+        assert np.array_equal(part.rows, full.rows[keep])
+        assert np.array_equal(part.log_scale, full.log_scale[keep])
+        assert part.log_at(0.37, 1.0) == full.log_at(0.37, 1.0)
+        assert solve_delta_at(rho, 2.0, 0.5) == solve_delta(rho).at(2.0, 0.5)
+        with pytest.raises(ValueError, match="not among the kept"):
+            part.log_at(0.5, 0.0)
+        with pytest.raises(ValueError, match="every time node"):
+            part.field()
+    for bad in ([], [3, 3], [5, 2], [-1, 4], [201], [0.5], [[1, 2]]):
+        with pytest.raises(ValueError, match="keep"):
+            solve_delta_scaled(varying, keep=bad)
+
+
+def test_gradient_pinned():
+    # the partials as computed before the exp(ls - ls[nt]) factors became one
+    # vector; the march renormalizes once, so those factors are not all 1
+    sg = SpaceGrid(10.0, 201)
+    tg = TimeGrid(0.0, 8.0, 400)
+    bump = random_smooth_deviation(rng_from_seed(29), tg, sg)
+    rho = SpaceTimeDeviation(tg, sg, 40.0 / np.cosh(sg.x) ** 2 + bump.values)
+    assert np.count_nonzero(np.diff(solve_delta_scaled(rho).log_scale)) == 1
+    log_zt, partials = log_terminal_and_gradient(rho)
+    assert log_zt == 300.85358185019504
+    assert partials[200, 100] == 0.003737764270464897
+    assert hashlib.sha256(np.ascontiguousarray(partials, dtype="<f8").tobytes()).hexdigest() == (
+        "3ba561c9a44d324ffb2db794f36951ce6ded6da4eb991ccc459a8c3dcb73c21f")
