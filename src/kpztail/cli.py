@@ -40,7 +40,9 @@ def _default_out() -> str:
 
 
 def _write_artifacts(out_dir: Path, subcommand: str, config: dict, files: dict,
-                     passed: bool | None = None) -> None:
+                     passed: bool | None = None, extra: dict | None = None) -> None:
+    """Write the output files and a manifest; `extra` entries go into the
+    manifest next to the hashes, not into any hashed output."""
     out_dir.mkdir(parents=True, exist_ok=True)
     hashes = {}
     for name, body in files.items():
@@ -57,6 +59,7 @@ def _write_artifacts(out_dir: Path, subcommand: str, config: dict, files: dict,
     }
     if passed is not None:
         manifest["passed"] = passed
+    manifest.update(extra or {})
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
@@ -158,18 +161,21 @@ def _rate_report_files(report, stride_cap: int = 201) -> dict:
     }
 
 
+def _rate_options(args) -> RateOptions:
+    """The rate and tail-law flags as RateOptions; raises ValueError on bad values."""
+    kw = {"n_points": args.n_points, "dt": args.dt, "max_iterations": args.max_iterations}
+    if args.subcommand == "rate":
+        kw["delta_warmup"] = args.warmup
+        if args.zeta is not None:
+            kw["zeta_candidates"] = (args.zeta,)
+    return RateOptions(**kw)
+
+
 def _cmd_rate(args) -> int:
-    opts = RateOptions(n_points=args.n_points, dt=args.dt,
-                       delta_warmup=args.warmup,
-                       max_iterations=args.max_iterations)
-    if args.zeta is not None:
-        opts = RateOptions(n_points=args.n_points, dt=args.dt,
-                           delta_warmup=args.warmup,
-                           max_iterations=args.max_iterations,
-                           zeta_candidates=(args.zeta,))
-    report = rate_phi(args.lam, opts)
+    report = rate_phi(args.lam, _rate_options(args))
+    rounds = [dict(zip(("eta", "log_z", "kkt_norm", "iterations"), r)) for r in report.rounds]
     _write_artifacts(Path(args.out), "rate", _args_config(args), _rate_report_files(report),
-                     report.converged)
+                     report.converged, extra={"rounds": rounds})
     print(f"lambda={args.lam}: phi_hat={report.phi_hat:.6g} "
           f"ratio={report.scaled_ratio:.4f} converged={report.converged}")
     return 0 if report.converged else 1
@@ -180,8 +186,7 @@ def _cmd_tail_law(args) -> int:
     if any(not 4 <= v <= 16 for v in lams):
         print("error: --lambdas entries must lie in [4, 16]", file=sys.stderr)
         return 2
-    opts = RateOptions(n_points=args.n_points, dt=args.dt,
-                       max_iterations=args.max_iterations)
+    opts = _rate_options(args)
     rows = []
     ratios = []
     all_converged = True
@@ -453,6 +458,11 @@ def main(argv=None) -> int:
         args = _apply_config(ap, args, argv)
     if getattr(args, "subcommand", None) == "tail-law" and not args.lambdas:
         ap.error("--lambdas must be a non-empty list for tail-law")
+    if args.subcommand in ("rate", "tail-law"):
+        try:
+            _rate_options(args)
+        except ValueError as exc:
+            ap.error(str(exc))
     if args.out is None:
         args.out = _default_out()
     try:

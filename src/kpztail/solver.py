@@ -31,9 +31,11 @@ sweep checks its result.
 
 A time-constant deviation (`SpaceTimeDeviation.time_constant`, rows held as
 one stride-0 view) has the same M on every grid interval.  The delta march
-then factors M once with `dgttrf` and runs `dgttrs` on each step: the same
-elimination with the same pivot test, so the rows are bitwise those of
-`dgtsv`.  The march stores only the time nodes its caller keeps.  Measured on
+and the sweeps of `propagate`, `operator_norm` and `adjoint_solve` then
+factor M once per march or sweep with `dgttrf` and run `dgttrs` on each step
+(the transposed step solves with the same M): the same elimination with the
+same pivot test, so the results are bitwise those of `dgtsv`.  The march
+stores only the time nodes its caller keeps.  Measured on
 a 2-vCPU Xeon VM:
 - one factorization per time-constant march: at n = 5761 a march step
   takes about 138 us against 218 us when each step rebuilds M for `dgtsv`,
@@ -103,7 +105,7 @@ class _Stepper:
     """One CN step on a fixed SpaceGrid; matrices rebuilt per (h, rho_mid).
 
     M and N share the diagonal kin_diag + rho_mid, computed once per step
-    (once per march for a time-constant rho, see `interval_step`).
+    (once per sweep for a time-constant rho, see `interval_steps`).
     """
 
     def __init__(self, sgrid: SpaceGrid):
@@ -142,16 +144,19 @@ class _Stepper:
         diag = self.kin_diag + rho_mid
         return self.solve_m(self.apply_n(v, h, diag), h, diag)
 
-    def interval_step(self, rho: SpaceTimeDeviation, h: float):
-        """Callable (v, k) -> one step of length h over time interval k of rho.
+    def interval_steps(self, rho: SpaceTimeDeviation, h: float):
+        """Callables (v, k) -> one step of length h over time interval k of rho,
+        and (v, k) -> its transpose.
 
         A time-constant rho (stride-0 rows) has the same M and N on every
         interval: their coefficients are computed once, M is factored once
         with dgttrf, and each call runs dgttrs.  dgttrf uses dgtsv's pivot
-        test and elimination, so the result is bitwise that of `step`.
+        test and elimination, so the results are bitwise those of `step`
+        and `step_transpose`.
         """
         if rho.values.strides[0] != 0:
-            return lambda v, k: self.step(v, h, _rho_mid(rho, k))
+            return (lambda v, k: self.step(v, h, _rho_mid(rho, k)),
+                    lambda v, k: self.step_transpose(v, h, _rho_mid(rho, k)))
         diag = self.kin_diag + _rho_mid(rho, 0)
         n_diag = 1.0 + 0.5 * h * diag
         n_off = 0.5 * h * self.kin_off
@@ -164,7 +169,14 @@ class _Stepper:
             x, _ = dgttrs(dl, d, du, du2, ipiv, _apply_n(v, n_diag, n_off), overwrite_b=1)
             return x
 
-        return fixed_step
+        def fixed_step_transpose(v: np.ndarray, k: int) -> np.ndarray:
+            rhs = v.copy()
+            rhs[0] = 0.0
+            rhs[-1] = 0.0
+            x, _ = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+            return _apply_n(x, n_diag, n_off)
+
+        return fixed_step, fixed_step_transpose
 
     def step_transpose(self, v: np.ndarray, h: float, rho_mid: np.ndarray) -> np.ndarray:
         # (M^{-1} N)^T = N M^{-1} for symmetric M, N on the pinned subspace
@@ -173,18 +185,18 @@ class _Stepper:
 
     def sweep(self, v: np.ndarray, rho: SpaceTimeDeviation, ks: int, kt: int) -> np.ndarray:
         """Steps over the time intervals ks, ..., kt - 1 of rho's grid, in order."""
-        dt = rho.tgrid.dt
+        step, _ = self.interval_steps(rho, rho.tgrid.dt)
         for k in range(ks, kt):
-            v = self.step(v, dt, _rho_mid(rho, k))
+            v = step(v, k)
         return v
 
     def sweep_transpose(self, v: np.ndarray, rho: SpaceTimeDeviation, ks: int, kt: int,
                         out: np.ndarray | None = None) -> np.ndarray:
         """Transposed steps over the intervals kt - 1, ..., ks; row k of `out`
         (if given) receives the value at time node k."""
-        dt = rho.tgrid.dt
+        _, step_transpose = self.interval_steps(rho, rho.tgrid.dt)
         for k in range(kt - 1, ks - 1, -1):
-            v = self.step_transpose(v, dt, _rho_mid(rho, k))
+            v = step_transpose(v, k)
             if out is not None:
                 out[k] = v
         return v
@@ -321,7 +333,7 @@ def _march_delta(rho: SpaceTimeDeviation, cfg: SolverConfig, keep=None,
         warm_vals.append(v)
     v = settle(1, v, m)
 
-    step = stepper.interval_step(rho, dt)
+    step, _ = stepper.interval_steps(rho, dt)
     for k in range(1, nt):
         v, m = _check_slice(step(v, k), str(k + 1))
         v = settle(k + 1, v, m)

@@ -11,11 +11,28 @@ single scalar, so the KKT system is the fixed-point equation
     rho = eta * lam * G(rho),      G = d log Z(T, 0) / d rho,
 
 with one dual variable eta > 0 selected so the constraint is active.  The
-solver runs damped Picard iterations on the fixed point (the adjoint-state
-gradient G is strictly positive, so iterates stay in the cone rho >= 0 for
-free) inside a secant loop on the monotone scalar map eta -> log Z; exit
-requires feasibility within tolerance and a scaled KKT gradient norm below
-the stationarity tolerance.
+solver runs Anderson mixing of depth ANDERSON_DEPTH (Walker & Ni, SIAM J.
+Numer. Anal. 49, 2011) on the damped map u -> u + damping (eta lam G(u) - u),
+projected onto the cone rho >= 0, inside a secant loop on the monotone scalar
+map eta -> log Z; exit requires feasibility within tolerance and a scaled KKT
+gradient norm below the stationarity tolerance.  The mixing history restarts
+at every new eta and after every Steiner projection.
+
+Each iteration costs one forward march and one adjoint gradient sweep, and
+the damped map alone contracts only by about 0.55 per step.  Iterations on
+the quick grid (n = 401, dt = 0.02) from rho_star / half_rho_star, damped map
+alone against Anderson mixing:
+
+    lam = 1:   43 / 37  ->  20 / 15
+    lam = 4:   48 / 65  ->  21 / 29
+    lam = 8:   89 / 102 ->  32 / 42
+    lam = 16: 109 / 136 ->  45 / 49
+
+with phi_hat within 7e-7 relative of the damped map's.  The mixing works on
+nt x n arrays: its inner products are the weighted `(a * b) @ w` sums that
+`unorm` uses, never BLAS level-1 calls on the flattened arrays (`np.vdot`
+there made OpenBLAS's threads spin and nearly doubled the CPU time), and its
+2 (m + 1) history arrays are allocated once per solve.
 
 The estimate phi_hat = lam^(3/2) (1/(2 lam)) ||rho_hat||^2 is an upper bound
 on the true rate value certified feasible; the time-constant candidate
@@ -29,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rearrange
 from .grids import (
     Potential,
     SpaceGrid,
@@ -44,6 +62,10 @@ from .solver import (
     solve_delta_scaled,
 )
 from .spectral import rho_star
+
+
+ANDERSON_DEPTH = 2  # differences kept by the KKT fixed-point mixer
+INITS = ("rho_star", "half_rho_star", "zeros")
 
 
 class CertificateUnavailableError(RuntimeError):
@@ -67,6 +89,20 @@ class RateOptions:
     zeta_candidates: tuple = (0.05, 0.1, 0.2, 0.5, 1.0)
     compute_certificate: bool = True
 
+    def __post_init__(self):
+        for name in ("dt", "delta_warmup", "stationarity_tol", "feasibility_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("max_iterations", "max_outer", "sd_project_interval"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.damping <= 1:
+            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
+        if self.init not in INITS:
+            raise ValueError(f"unknown init {self.init!r}; expected one of {INITS}")
+        if not all(z > 0 for z in self.zeta_candidates):
+            raise ValueError(f"zeta_candidates must be positive, got {self.zeta_candidates}")
+
 
 @dataclass(frozen=True)
 class RateReport:
@@ -77,6 +113,8 @@ class RateReport:
     iterations: int
     upper_certificate: float
     converged: bool
+    # one (eta, log Z, KKT norm, inner iterations) per secant round
+    rounds: tuple = ()
 
     @property
     def scaled_ratio(self) -> float:
@@ -150,6 +188,58 @@ def _smallest_certificate(lam: float, opts: RateOptions) -> float:
     )
 
 
+class _AndersonMixer:
+    """Anderson mixing of depth m = ANDERSON_DEPTH for a fixed point u = g(u)
+    (Walker & Ni 2011).
+
+    `mix(u, f)` takes an iterate u and its residual f = g(u) - u and writes
+    g(u) - dG gamma into u, with gamma the least-squares fit of f by the
+    last m residual differences dF in the inner product `inner`; dG are the
+    matching differences of g.  The 2 (m + 1) arrays of the shape of u are
+    allocated once; `restart` forgets the history.
+    """
+
+    def __init__(self, shape: tuple, inner):
+        self._inner = inner
+        self._df = np.empty((ANDERSON_DEPTH,) + shape)
+        self._dg = np.empty((ANDERSON_DEPTH,) + shape)
+        self._f = np.empty(shape)  # residual and map value of the last iterate
+        self._g = np.empty(shape)
+        self.restart()
+
+    def restart(self) -> None:
+        self._primed = False
+        self._count = 0
+        self._next = 0
+
+    def mix(self, u: np.ndarray, f: np.ndarray) -> None:
+        """Overwrite u with the mixed iterate; f is overwritten as scratch."""
+        if self._primed:
+            j = self._next
+            np.subtract(f, self._f, out=self._df[j])
+            np.subtract(u, self._g, out=self._dg[j])
+            self._dg[j] += f
+            self._next = (j + 1) % ANDERSON_DEPTH
+            self._count = min(self._count + 1, ANDERSON_DEPTH)
+        self._primed = True
+        np.copyto(self._f, f)
+        np.add(u, f, out=self._g)
+        np.copyto(u, self._g)
+        k = self._count
+        if k == 0:
+            return
+        df = self._df
+        gram = np.empty((k, k))
+        for a in range(k):
+            for b in range(a, k):
+                gram[a, b] = gram[b, a] = self._inner(df[a], df[b])
+        rhs = np.array([self._inner(df[a], f) for a in range(k)])
+        gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+        for a in range(k):
+            np.multiply(self._dg[a], gamma[a], out=f)
+            u -= f
+
+
 def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
     """KKT fixed-point estimate of the scaled rate value at depth lam."""
     opts = opts or RateOptions()
@@ -165,71 +255,84 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
     nt = tgrid.n_steps
     inv_weight = 1.0 / (dt * w_space)  # node partial -> functional gradient
 
-    def make_rho(u):
-        vals = np.empty((nt + 1, sgrid.n_points))
-        vals[:nt] = u
+    # the iterate u is updated in place as the first nt rows of the deviation
+    vals = np.empty((nt + 1, sgrid.n_points))
+    u = vals[:nt]
+
+    def current_rho():
         vals[nt] = u[nt - 1]  # final node mirrors the last costed slice
         return SpaceTimeDeviation(tgrid, sgrid, vals)
 
-    def cost_of(u):
-        return float(dt * ((u * u) @ w_space).sum() / cost_scale)
+    def inner(a, b):
+        return float(dt * ((a * b) @ w_space).sum())
 
     def unorm(v):
-        return float(np.sqrt(dt * ((v * v) @ w_space).sum()))
+        return float(np.sqrt(inner(v, v)))
 
-    def log_and_gradient(u):
-        log_zt, partials = log_terminal_and_gradient(make_rho(u), cfg)
-        grad = partials[:nt].copy()
+    def log_and_gradient():
+        log_zt, partials = log_terminal_and_gradient(current_rho(), cfg)
+        grad = partials[:nt]
         grad[nt - 1] += partials[nt]  # fold the tied final node in
         grad *= inv_weight[None, :]
         return log_zt, grad
 
     base = rho_star(sgrid).values
     if opts.init_values is not None:
-        u = np.array(opts.init_values[:nt], dtype=float)
-        if u.shape != (nt, sgrid.n_points):
+        start = np.asarray(opts.init_values[:nt], dtype=float)
+        if start.shape != (nt, sgrid.n_points):
             raise ValueError(f"init_values must cover {(nt, sgrid.n_points)} nodes")
-        u = np.maximum(u, 0.0)
+        np.maximum(start, 0.0, out=u)
     elif opts.init == "rho_star":
-        u = np.tile(base, (nt, 1))
+        u[:] = base
     elif opts.init == "half_rho_star":
-        u = np.tile(0.5 * base, (nt, 1))
-    elif opts.init == "zeros":
-        u = np.zeros((nt, sgrid.n_points))
+        u[:] = 0.5 * base
     else:
-        raise ValueError(f"unknown init {opts.init!r}")
+        u[:] = 0.0
 
     mult = 0.5 * cost_scale  # the KKT map is u = eta * mult * G(u)
-    log_zt, grad = log_and_gradient(u)
+    log_zt, grad = log_and_gradient()
     c_val = target - log_zt  # positive when infeasible
     # self-scaled initial dual variable: least-squares match of u to its map
-    gg = float(dt * ((grad * grad) @ w_space).sum())
-    ug = float(dt * ((u * grad) @ w_space).sum())
+    gg = inner(grad, grad)
+    ug = inner(u, grad)
     eta = max(ug / (mult * gg), 1e-6) if gg > 0 else 1.0
 
+    mixer = _AndersonMixer(u.shape, inner)
     it = 0
     snorm = np.inf
-    history = []
+    rounds = []
     inner_tol = 1e-3  # tightened every dual round so secant pairs stay consistent
     for outer in range(opts.max_outer):
+        mixer.restart()
+        it_start = it
         while it < opts.max_iterations:
             it += 1
-            du = eta * mult * grad - u
-            rel = unorm(du) / max(unorm(u), 1e-30)
-            u = np.maximum(u + opts.damping * du, 0.0)
+            # the gradient's storage becomes du, then the damped residual
+            grad *= eta * mult
+            grad -= u
+            rel = unorm(grad) / max(unorm(u), 1e-30)
+            grad *= opts.damping
+            mixer.mix(u, grad)
+            del grad  # free it before the next sweep allocates its own
+            np.maximum(u, 0.0, out=u)
             if it % opts.sd_project_interval == 0:
-                from .rearrange import steiner
-
-                u = steiner(SpaceTimeDeviation(
-                    tgrid, sgrid, np.vstack([u, u[-1:]]))).values[:nt]
-            log_zt, grad = log_and_gradient(u)
+                u[:] = rearrange.steiner(current_rho()).values[:nt]
+                mixer.restart()
+            log_zt, grad = log_and_gradient()
             c_val = target - log_zt
             if rel <= inner_tol:
                 break
-        # KKT residual at the current dual variable
-        g = (u - eta * mult * grad) / (0.5 * cost_scale)
-        pg = u - np.maximum(u - g, 0.0)
-        snorm = float(np.sqrt(dt * ((pg * pg) @ w_space).sum() / cost_scale))
+        # KKT residual at the current dual variable: pg = u - max(u - g, 0)
+        # for g = (u - eta mult grad) / mult, built in one array
+        pg = grad * -(eta * mult)
+        pg += u
+        pg /= mult
+        np.subtract(u, pg, out=pg)
+        np.maximum(pg, 0.0, out=pg)
+        np.subtract(u, pg, out=pg)
+        snorm = float(np.sqrt(inner(pg, pg) / cost_scale))
+        del pg
+        rounds.append((float(eta), float(log_zt), snorm, it - it_start))
         complementary = abs(c_val) <= opts.feasibility_tol or eta <= opts.feasibility_tol
         if c_val <= opts.feasibility_tol and complementary and snorm <= opts.stationarity_tol:
             break
@@ -237,20 +340,19 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
             break
         inner_tol = max(0.3 * inner_tol, 1e-9)
         # secant on the monotone map eta -> log Z(fixed point of eta)
-        history.append((eta, log_zt))
-        if len(history) >= 2 and history[-1][1] != history[-2][1] and history[-1][0] != history[-2][0]:
-            (e0, l0), (e1, l1) = history[-2], history[-1]
+        if len(rounds) >= 2 and rounds[-1][1] != rounds[-2][1] and rounds[-1][0] != rounds[-2][0]:
+            (e0, l0, _, _), (e1, l1, _, _) = rounds[-2], rounds[-1]
             proposal = e1 + (target - l1) * (e1 - e0) / (l1 - l0)
             eta = float(np.clip(proposal, 0.2 * eta, 5.0 * eta))
         else:
             eta = eta * (1.25 if c_val > 0 else 0.8)
 
-    rho_hat = make_rho(u)
+    rho_hat = current_rho()
     log_zt = log_z_terminal(rho_hat, cfg)
     c_val = target - log_zt
     complementary = abs(c_val) <= opts.feasibility_tol or eta <= opts.feasibility_tol
     converged = (c_val <= opts.feasibility_tol) and complementary and (snorm <= opts.stationarity_tol)
-    cost = cost_of(u)
+    cost = inner(u, u) / cost_scale
     phi_hat = (lam**1.5) * cost if lam > 0 else cost
     if opts.compute_certificate:
         cert = _smallest_certificate(lam, opts) if lam > 0 else 0.0
@@ -264,6 +366,7 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
         iterations=it,
         upper_certificate=float(cert),
         converged=bool(converged),
+        rounds=tuple(rounds),
     )
 
 

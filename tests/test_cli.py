@@ -70,6 +70,13 @@ def test_rate_subcommand(tmp_path):
     assert rep["phi_hat"] <= rep["upper_certificate"] + 1e-6
     body = read(out / "minimizer.csv")
     assert body.startswith("t,x,value\n")
+    # the per-round history goes into the manifest, not the hashed report
+    manifest = json.loads(read(out / "manifest.json"))
+    rounds = manifest["rounds"]
+    assert sum(r["iterations"] for r in rounds) == rep["iterations"]
+    assert rounds[-1]["kkt_norm"] <= 1e-5
+    assert set(rep) == {"lambda", "phi_hat", "phi_hat_over_lam32", "constraint_residual",
+                        "iterations", "upper_certificate", "converged"}
 
 
 def test_tail_law_usage_error(tmp_path):
@@ -144,6 +151,22 @@ def test_config_bad_value_is_usage_error(tmp_path, capsys, subcommand, field):
         main([subcommand, "--config", str(cfgfile), "--out", str(tmp_path / "out")])
     assert err.value.code == 2
     assert next(iter(field)) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rate", "--lambda", "1", "--dt", "0"], "dt must be positive"),
+    (["rate", "--lambda", "1", "--warmup", "-0.001"], "delta_warmup must be positive"),
+    (["rate", "--lambda", "1", "--max-iterations", "0"], "max_iterations must be >= 1"),
+    (["rate", "--lambda", "1", "--zeta", "-1"], "zeta_candidates must be positive"),
+    (["tail-law", "--lambdas", "4", "--dt", "nan"], "dt must be positive"),
+    (["tail-law", "--lambdas", "4", "--max-iterations", "-3"], "max_iterations must be >= 1"),
+])
+def test_bad_rate_options_are_usage_errors(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -360,6 +360,13 @@ def test_time_constant_march_matches_materialized(half_width, n_points, t_end, n
     factored, stepped = solve_delta_scaled(constant), solve_delta_scaled(copied)
     assert np.array_equal(factored.rows, stepped.rows)
     assert np.array_equal(factored.log_scale, stepped.log_scale)
+    # the sweeps factor M once too, forward and transposed
+    t = min(t_end, 1.0)
+    f = Potential(sg, np.exp(-sg.x**2))
+    assert np.array_equal(propagate(constant, 0.0, t, f).values,
+                          propagate(copied, 0.0, t, f).values)
+    assert operator_norm(constant, 0.0, t, iters=10) == operator_norm(copied, 0.0, t, iters=10)
+    assert np.array_equal(adjoint_solve(constant, f).values, adjoint_solve(copied, f).values)
     if not pivot_rows:
         assert factored.log_scale[-1] > np.log(1e120)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from kpztail.spectral import rho_star
 from kpztail.testing import rng_from_seed
 from kpztail.variational import (
     CertificateUnavailableError,
+    _AndersonMixer,
     RateOptions,
     RateReport,
     equicontinuity_probe,
@@ -97,8 +99,6 @@ def test_rate_report_invariants(report_lam1):
 
 def test_rate_initializations_agree():
     rep_a = rate_phi(1.0, QUICK)
-    from dataclasses import replace
-
     rep_b = rate_phi(1.0, replace(QUICK, init="half_rho_star"))
     assert rep_a.converged and rep_b.converged
     assert rep_a.phi_hat == pytest.approx(rep_b.phi_hat, rel=0.02)
@@ -184,3 +184,65 @@ def test_rate_phi_rejects_out_of_range():
         rate_phi(40.0, QUICK)
     with pytest.raises(ValueError):
         rate_phi(-1.0, QUICK)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("sd_project_interval", 0, "sd_project_interval must be >= 1"),
+    ("max_iterations", 0, "max_iterations must be >= 1"),
+    ("max_outer", 0, "max_outer must be >= 1"),
+    ("damping", 0.0, "damping must lie in"),
+    ("damping", 1.5, "damping must lie in"),
+    ("dt", 0.0, "dt must be positive"),
+    ("delta_warmup", -1e-3, "delta_warmup must be positive"),
+    ("stationarity_tol", 0.0, "stationarity_tol must be positive"),
+    ("feasibility_tol", float("nan"), "feasibility_tol must be positive"),
+    ("init", "ones", "unknown init"),
+    ("zeta_candidates", (0.1, 0.0), "zeta_candidates must be positive"),
+])
+def test_rate_options_reject_bad_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        RateOptions(**{field: value})
+
+
+def test_anderson_mixer_beats_damping_on_linear_contraction():
+    # u = A u + b with A symmetric, spectrum in [0, 0.9]: the damped map
+    # u + 0.7 (A u + b - u) contracts by 0.93 per step on the top mode
+    rng = rng_from_seed(5)
+    q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+    a = q @ np.diag(np.linspace(0.0, 0.9, 30)) @ q.T
+    b = rng.normal(size=30)
+    exact = np.linalg.solve(np.eye(30) - a, b)
+
+    def steps_to_converge(mixer):
+        u = np.zeros(30)
+        for step in range(1, 1000):
+            f = 0.7 * (a @ u + b - u)
+            if np.linalg.norm(f) <= 1e-10:
+                return step, u
+            if mixer is None:
+                u += f
+            else:
+                mixer.mix(u, f)
+        raise AssertionError("no convergence")
+
+    plain, u_plain = steps_to_converge(None)
+    mixed, u_mixed = steps_to_converge(_AndersonMixer((30,), np.dot))
+    assert np.allclose(u_plain, exact, atol=1e-8) and np.allclose(u_mixed, exact, atol=1e-8)
+    assert mixed < plain / 2
+
+
+@pytest.mark.parametrize("init, phi_ref, max_iters", [
+    # the damped map's values, after 48 and 65 iterations
+    ("rho_star", 5.698643885543763, 30),
+    ("half_rho_star", 5.698640944220253, 40),
+])
+def test_quick_rate_lam4_anderson(init, phi_ref, max_iters):
+    opts = replace(QUICK, init=init, max_iterations=400)
+    rep = rate_phi(4.0, opts)
+    assert rep.converged
+    assert rep.phi_hat == pytest.approx(phi_ref, rel=1e-5)
+    assert rep.iterations <= max_iters
+    # one (eta, log Z, KKT norm, inner iterations) per secant round
+    assert sum(r[3] for r in rep.rounds) == rep.iterations
+    assert rep.rounds[-1][2] <= opts.stationarity_tol
+    assert all(r[0] > 0 for r in rep.rounds)
