@@ -35,20 +35,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .grids import (
-    Field,
     Potential,
     SpaceGrid,
     SpaceTimeDeviation,
-    TimeGrid,
     format_value,
     heat_kernel,
+    standard_time_grid,
 )
 from .solver import SolverConfig, solve_delta_scaled
 
 _BLOCK_STRIDE = 2**40  # Philox counter offset between path blocks
+SHAPE_T_STEP = 0.05  # limit-shape profile spacing in scaled time, in whole grid steps
+SHAPE_X_STEP = 0.05  # and in scaled position, likewise
 
 
 class ConfigurationError(RuntimeError):
@@ -422,14 +422,6 @@ def hitting_mgf_quadrature(beta: float, t: float, x: float, lam: float) -> float
     return float(v_star + math.log(val) / lam)
 
 
-def numeric_v_argmax(beta: float, t: float, x: float) -> float:
-    """Numerical maximizer of V_beta over (0, 1] (oracle for the closed form)."""
-    res = minimize_scalar(lambda s: -laplace_v(beta, s, t, x),
-                          bounds=(1e-9, 1.0), method="bounded",
-                          options={"xatol": 1e-10})
-    return float(res.x)
-
-
 # --- the limit shape -----------------------------------------------------------
 
 def h_star(t: float, x: float) -> float:
@@ -446,8 +438,6 @@ def h_star(t: float, x: float) -> float:
 class ShapeOptions:
     dx: float = 0.05
     dt: float = 0.01
-    t_step: float = 0.05
-    x_step: float = 0.05
     half_width: float | None = None  # None -> automatic lam/delta + 10 sqrt(2 lam)
     delta_warmup: float = 1e-3
     mc_t_count: int = 4
@@ -512,17 +502,16 @@ def _shape_profile_pde(lam: float, delta: float, opts: ShapeOptions) -> ShapePro
         )
     n_half = int(math.ceil(half_width / opts.dx))
     sgrid = SpaceGrid(n_half * opts.dx, 2 * n_half + 1)
-    t_end = 2.0 * lam
-    tgrid = TimeGrid(0.0, t_end, int(round(t_end / opts.dt)))
+    tgrid = standard_time_grid(opts.dt, 2.0 * lam)
     x = sgrid.x
     rho = SpaceTimeDeviation.time_constant(tgrid, Potential(sgrid, 1.0 / np.cosh(x) ** 2))
 
-    stride_t = max(1, int(round(opts.t_step * lam / tgrid.dt)))
+    stride_t = max(1, int(round(SHAPE_T_STEP * lam / tgrid.dt)))
     k_lo = int(math.ceil(lam * delta / tgrid.dt - 1e-9))
     k_hi = tgrid.n_steps
     k_idx = np.arange(k_lo, k_hi + 1, stride_t)
     sol = solve_delta_scaled(rho, SolverConfig(delta_warmup=opts.delta_warmup), keep=k_idx)
-    stride_x = max(1, int(round(opts.x_step * lam / sgrid.dx)))
+    stride_x = max(1, int(round(SHAPE_X_STEP * lam / sgrid.dx)))
     i0 = sgrid.center_index
     reach = int(math.floor((lam / delta) / (stride_x * sgrid.dx)))
     i_idx = i0 + stride_x * np.arange(-reach, reach + 1)

@@ -25,7 +25,6 @@ from . import __version__, bridge, rearrange, selftest, spectral
 from .grids import (
     Potential,
     SpaceGrid,
-    TimeGrid,
     format_value,
     l2_norm_space,
     samples_to_csv,

@@ -57,12 +57,28 @@ class SpaceGrid:
         return w
 
 
+def _step_count(span: float, step: float) -> int:
+    """span / step as an integer; raises unless step divides span up to round-off.
+
+    The tolerance is `TimeGrid.index_of`'s 1e-9 max(1, span), so a step is
+    used as given and never snapped to a nearby divisor.
+    """
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
+    n = int(round(span / step))
+    if abs(n * step - span) > 1e-9 * max(1.0, span):
+        raise ValueError(f"step {step} does not divide the span {span}")
+    return n
+
+
 def standard_grid(dx: float, half_width: float) -> SpaceGrid:
-    """Space grid on [-half_width, half_width] with spacing near dx and an odd node count."""
-    n = int(round(2 * half_width / dx)) + 1
-    if n % 2 == 0:
-        n += 1
-    return SpaceGrid(half_width, n)
+    """Space grid on [-half_width, half_width] with spacing dx; dx must divide half_width."""
+    return SpaceGrid(half_width, 2 * _step_count(half_width, dx) + 1)
+
+
+def standard_time_grid(dt: float, t_end: float) -> TimeGrid:
+    """Time grid on [0, t_end] with step dt; dt must divide t_end."""
+    return TimeGrid(0.0, t_end, _step_count(t_end, dt))
 
 
 @dataclass(frozen=True)
@@ -115,10 +131,6 @@ class Potential:
     def __post_init__(self):
         object.__setattr__(self, "values", _check_values(self.values, (self.grid.n_points,), "Potential.values"))
 
-    @classmethod
-    def from_callable(cls, grid: SpaceGrid, fn) -> "Potential":
-        return cls(grid, fn(grid.x))
-
 
 @dataclass(frozen=True)
 class SpaceTimeDeviation:
@@ -131,11 +143,6 @@ class SpaceTimeDeviation:
     def __post_init__(self):
         shape = (self.tgrid.n_steps + 1, self.sgrid.n_points)
         object.__setattr__(self, "values", _check_values(self.values, shape, "SpaceTimeDeviation.values"))
-
-    @classmethod
-    def from_callable(cls, tgrid: TimeGrid, sgrid: SpaceGrid, fn) -> "SpaceTimeDeviation":
-        tt, xx = np.meshgrid(tgrid.times, sgrid.x, indexing="ij")
-        return cls(tgrid, sgrid, fn(tt, xx))
 
     @classmethod
     def time_constant(cls, tgrid: TimeGrid, phi: Potential) -> "SpaceTimeDeviation":
@@ -213,16 +220,3 @@ def samples_to_csv(tgrid: TimeGrid, sgrid: SpaceGrid, values: np.ndarray,
             buf.write(f"{ts},{format_value(xs[i])},{format_value(row[i])}\n")
     return buf.getvalue()
 
-
-def field_to_csv(fld: Field) -> str:
-    return samples_to_csv(fld.tgrid, fld.sgrid, fld.values)
-
-
-def field_descriptor(fld: Field) -> dict:
-    return {
-        "half_width": fld.sgrid.half_width,
-        "n_points": fld.sgrid.n_points,
-        "t_start": fld.tgrid.t_start,
-        "t_end": fld.tgrid.t_end,
-        "n_steps": fld.tgrid.n_steps,
-    }

@@ -24,7 +24,6 @@ from .grids import (
     format_value,
     heat_kernel,
     l2_norm_space,
-    l2_norm_spacetime,
     standard_grid,
 )
 from .solver import chaos_series_point, operator_norm, solve_delta, solve_delta_at

@@ -74,17 +74,11 @@ class SolverInstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    scheme: str = "crank_nicolson"  # or "chaos_series"
     delta_warmup: float = 1e-3
-    chaos_order: int = 6
 
     def __post_init__(self):
-        if self.scheme not in ("crank_nicolson", "chaos_series"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0 < self.delta_warmup:
             raise ValueError("delta_warmup must be positive")
-        if self.chaos_order < 1:
-            raise ValueError("chaos_order must be >= 1")
 
 
 def _rho_mid(rho: SpaceTimeDeviation, k: int) -> np.ndarray:
@@ -363,8 +357,6 @@ def solve_delta_at(rho: SpaceTimeDeviation, t: float, x: float,
 def solve_delta(rho: SpaceTimeDeviation, cfg: SolverConfig | None = None) -> Field:
     """Solve dZ/dt = Z_xx/2 + rho Z from a Dirac delta at (0, 0)."""
     cfg = cfg or SolverConfig()
-    if cfg.scheme == "chaos_series":
-        return _chaos_field(rho, cfg)
     return _march_delta(rho, cfg).field()
 
 
@@ -589,14 +581,3 @@ def chaos_series_point(rho: SpaceTimeDeviation, t: float, x: float, order: int) 
         total += zn[k, i]
     return float(total)
 
-
-def _chaos_field(rho: SpaceTimeDeviation, cfg: SolverConfig) -> Field:
-    tg, sg = rho.tgrid, rho.sgrid
-    terms = _chaos_orders(rho, cfg.chaos_order)
-    vals = np.zeros_like(terms[0])
-    for zn in terms:
-        vals += zn
-    for k in range(1, tg.n_steps + 1):
-        vals[k], _ = _check_slice(vals[k], f"chaos sum row {k}")
-    vals[0] = np.maximum(heat_kernel(cfg.delta_warmup, sg.x), POSITIVITY_FLOOR)
-    return Field(tg, sg, vals, strictly_positive=True)

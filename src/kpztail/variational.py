@@ -12,11 +12,14 @@ single scalar, so the KKT system is the fixed-point equation
 
 with one dual variable eta > 0 selected so the constraint is active.  The
 solver runs Anderson mixing of depth ANDERSON_DEPTH (Walker & Ni, SIAM J.
-Numer. Anal. 49, 2011) on the damped map u -> u + damping (eta lam G(u) - u),
-projected onto the cone rho >= 0, inside a secant loop on the monotone scalar
-map eta -> log Z; exit requires feasibility within tolerance and a scaled KKT
-gradient norm below the stationarity tolerance.  The mixing history restarts
-at every new eta and after every Steiner projection.
+Numer. Anal. 49, 2011) on the damped map u -> u + DAMPING (eta lam G(u) - u),
+projected onto the cone rho >= 0 and, every SD_PROJECT_INTERVAL iterations,
+onto Steiner-symmetric deviations, inside a secant loop of at most MAX_OUTER
+rounds on the monotone scalar map eta -> log Z; exit requires feasibility
+within tolerance and a scaled KKT gradient norm below the stationarity
+tolerance.  The mixing history restarts at every new eta and after every
+Steiner projection.  These four constants have one value in every caller, so
+they are not options.
 
 Each iteration costs one forward march and one adjoint gradient sweep, and
 the damped map alone contracts only by about 0.55 per step.  Iterations on
@@ -51,9 +54,9 @@ from .grids import (
     Potential,
     SpaceGrid,
     SpaceTimeDeviation,
-    TimeGrid,
     heat_kernel,
     l2_norm_spacetime,
+    standard_time_grid,
 )
 from .solver import (
     SolverConfig,
@@ -65,6 +68,9 @@ from .spectral import rho_star
 
 
 ANDERSON_DEPTH = 2  # differences kept by the KKT fixed-point mixer
+MAX_OUTER = 40  # dual (secant) rounds
+DAMPING = 0.7  # step of the damped KKT map
+SD_PROJECT_INTERVAL = 50  # inner iterations between Steiner projections
 INITS = ("rho_star", "half_rho_star", "zeros")
 
 
@@ -81,11 +87,8 @@ class RateOptions:
     init: str = "rho_star"  # rho_star | half_rho_star | zeros
     init_values: np.ndarray | None = None  # explicit start, overrides init
     max_iterations: int = 2000  # total inner fixed-point iterations
-    max_outer: int = 40        # dual (secant) rounds
-    damping: float = 0.7
     stationarity_tol: float = 1e-5
     feasibility_tol: float = 1e-6
-    sd_project_interval: int = 50
     zeta_candidates: tuple = (0.05, 0.1, 0.2, 0.5, 1.0)
     compute_certificate: bool = True
 
@@ -93,11 +96,8 @@ class RateOptions:
         for name in ("dt", "delta_warmup", "stationarity_tol", "feasibility_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("max_iterations", "max_outer", "sd_project_interval"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 < self.damping <= 1:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
+        if not self.max_iterations >= 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}; expected one of {INITS}")
         if not all(z > 0 for z in self.zeta_candidates):
@@ -125,9 +125,7 @@ class RateReport:
 
 
 def _problem_grids(lam: float, opts: RateOptions):
-    t_end = 2.0 * lam if lam > 0 else 2.0
-    n_steps = int(round(t_end / opts.dt))
-    tgrid = TimeGrid(0.0, t_end, n_steps)
+    tgrid = standard_time_grid(opts.dt, 2.0 * lam if lam > 0 else 2.0)
     sgrid = SpaceGrid(opts.half_width, opts.n_points)
     return tgrid, sgrid
 
@@ -302,7 +300,7 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
     snorm = np.inf
     rounds = []
     inner_tol = 1e-3  # tightened every dual round so secant pairs stay consistent
-    for outer in range(opts.max_outer):
+    for outer in range(MAX_OUTER):
         mixer.restart()
         it_start = it
         while it < opts.max_iterations:
@@ -311,11 +309,11 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
             grad *= eta * mult
             grad -= u
             rel = unorm(grad) / max(unorm(u), 1e-30)
-            grad *= opts.damping
+            grad *= DAMPING
             mixer.mix(u, grad)
             del grad  # free it before the next sweep allocates its own
             np.maximum(u, 0.0, out=u)
-            if it % opts.sd_project_interval == 0:
+            if it % SD_PROJECT_INTERVAL == 0:
                 u[:] = rearrange.steiner(current_rho()).values[:nt]
                 mixer.restart()
             log_zt, grad = log_and_gradient()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from kpztail import bridge
 from kpztail.bridge import (
@@ -23,7 +24,6 @@ from kpztail.bridge import (
     laplace_v,
     laplace_v_argmax,
     laplace_v_curvature,
-    numeric_v_argmax,
     sample_bridge,
     shape_profile,
 )
@@ -148,6 +148,14 @@ def test_hitting_times_match_density():
         p, _ = quad(lambda s: hitting_density(s, t, x, lam), edges[b], edges[b + 1], limit=100)
         sd = math.sqrt(max(n * p * (1 - p), 1.0))
         assert abs(counts[b] - n * p) <= 5 * sd
+
+
+def numeric_v_argmax(beta: float, t: float, x: float) -> float:
+    """Numerical maximizer of V_beta over (0, 1] (oracle for the closed form)."""
+    res = minimize_scalar(lambda s: -laplace_v(beta, s, t, x),
+                          bounds=(1e-9, 1.0), method="bounded",
+                          options={"xatol": 1e-10})
+    return float(res.x)
 
 
 def test_laplace_v_examples():

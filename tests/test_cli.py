@@ -170,6 +170,17 @@ def test_bad_rate_options_are_usage_errors(tmp_path, capsys, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["rate", "--lambda", "1", "--dt", "0.3"],
+    ["limit-shape", "--lambda", "8", "--delta", "0.5", "--dt", "0.03"],
+    ["spectral", "--dx", "0.3"],
+])
+def test_step_that_does_not_divide_its_span_is_an_error(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "does not divide" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("body", [None, "{not json", "[1, 2]"])
 def test_config_file_unreadable_is_usage_error(tmp_path, capsys, body):
     cfgfile = tmp_path / "cfg.json"

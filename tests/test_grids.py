@@ -11,11 +11,12 @@ from kpztail.grids import (
     SpaceGrid,
     SpaceTimeDeviation,
     TimeGrid,
-    field_descriptor,
-    field_to_csv,
     heat_kernel,
     l2_norm_space,
     l2_norm_spacetime,
+    samples_to_csv,
+    standard_grid,
+    standard_time_grid,
 )
 
 
@@ -130,23 +131,42 @@ def test_validation_errors():
 def test_field_csv_and_descriptor():
     g = SpaceGrid(1.0, 3)
     tg = TimeGrid(0.0, 1.0, 1)
-    fld = Field(tg, g, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
-    body = field_to_csv(fld)
+    body = samples_to_csv(tg, g, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
     lines = body.strip().split("\n")
     assert lines[0] == "t,x,value"
     assert len(lines) == 1 + 2 * 3
     assert lines[1] == "0,-1,1"
     assert lines[-1] == "1,1,6"
-    desc = field_descriptor(fld)
-    assert desc == {"half_width": 1.0, "n_points": 3, "t_start": 0.0, "t_end": 1.0, "n_steps": 1}
 
 
 def test_csv_twelve_significant_digits():
     g = SpaceGrid(1.0, 3)
     tg = TimeGrid(0.0, 1.0, 1)
     v = 0.123456789012345
-    fld = Field(tg, g, np.full((2, 3), v))
-    assert "0.123456789012" in field_to_csv(fld)
+    assert "0.123456789012" in samples_to_csv(tg, g, np.full((2, 3), v))
+
+
+def test_standard_grids_take_the_step_as_given():
+    assert standard_grid(0.01, 20.0) == SpaceGrid(20.0, 4001)
+    assert standard_grid(0.05, 10.0) == SpaceGrid(10.0, 401)
+    assert standard_time_grid(0.02, 8.0) == TimeGrid(0.0, 8.0, 400)
+    assert standard_time_grid(0.01, 1.0) == TimeGrid(0.0, 1.0, 100)
+    # every depth and step the package runs at divides the horizon 2 lam
+    for lam in (0.5, 1.0, 4.0, 8.0, 16.0, 20.0, 24.0, 32.0):
+        for dt in (0.01, 0.02):
+            assert standard_time_grid(dt, 2.0 * lam).n_steps == round(2.0 * lam / dt)
+    # a step that does not divide its span raises instead of snapping
+    with pytest.raises(ValueError, match="does not divide"):
+        standard_grid(0.3, 20.0)
+    with pytest.raises(ValueError, match="does not divide"):
+        standard_grid(0.4, 1.0)  # divides 2 L but not L: x = 0 would not be a node
+    with pytest.raises(ValueError, match="does not divide"):
+        standard_time_grid(0.3, 2.0)
+    with pytest.raises(ValueError, match="does not divide"):
+        standard_time_grid(0.03, 16.0)
+    for step in (0.0, -0.01, float("nan")):
+        with pytest.raises(ValueError, match="step must be positive"):
+            standard_time_grid(step, 2.0)
 
 
 def test_time_constant_deviation_is_a_read_only_row(grid20, sech2_20):
