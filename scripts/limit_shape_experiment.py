@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Limit-shape experiment: sup gap between the tilted height and h_star.
 
-One forward solve per depth; prints the decay of the sup error with lam and
-optionally writes the profile CSVs via the package CLI.
+One forward solve per depth; prints the decay of the sup error with lam.
+`kpztail limit-shape` writes the profile CSV of one depth.
 """
 
 import argparse

@@ -2,8 +2,8 @@
 """Deep upper-tail experiment: scaled rate values across tail depths.
 
 Runs the constrained optimizer at each requested depth from both standard
-initializations, prints the certificate sandwich, and writes the tail-law
-table under --out.  Expect a few minutes per depth at the default grids.
+initializations and prints the certificate sandwich; `kpztail tail-law`
+writes the table as CSV.  Expect a few minutes per depth at the default grids.
 """
 
 import argparse

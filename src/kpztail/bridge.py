@@ -44,7 +44,7 @@ from .grids import (
     heat_kernel,
     standard_time_grid,
 )
-from .solver import SolverConfig, solve_delta_scaled
+from .solver import DELTA_WARMUP, solve_delta_scaled
 
 _BLOCK_STRIDE = 2**40  # Philox counter offset between path blocks
 SHAPE_T_STEP = 0.05  # limit-shape profile spacing in scaled time, in whole grid steps
@@ -254,11 +254,14 @@ def fk_estimate(phi: Potential, duration: float, start: float, end: float,
     total = 0.0
     total_sq = 0.0
     n = 0
-    for integ in _stream_weights(phi, duration, start, end, cfg):
-        w = np.exp(integ)
-        total += float(w.sum())
-        total_sq += float((w * w).sum())
-        n += w.size
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        for integ in _stream_weights(phi, duration, start, end, cfg):
+            w = np.exp(integ)
+            total += float(w.sum())
+            total_sq += float((w * w).sum())
+            n += w.size
+    if not math.isfinite(total_sq):
+        raise ValueError(f"the weights exp(int phi) overflow the float range over duration {duration}")
     p = heat_kernel(duration, end - start)
     mean_w = total / n
     var_w = max(total_sq / n - mean_w**2, 0.0)
@@ -439,11 +442,21 @@ class ShapeOptions:
     dx: float = 0.05
     dt: float = 0.01
     half_width: float | None = None  # None -> automatic lam/delta + 10 sqrt(2 lam)
-    delta_warmup: float = 1e-3
     mc_t_count: int = 4
     mc_x_count: int = 9
     mc_paths: int = 50_000
     mc_seed: int = 31415
+
+    def __post_init__(self):
+        if not self.dx > 0:
+            raise ValueError(f"dx must be positive, got {self.dx}")
+        if not self.dt > DELTA_WARMUP:
+            raise ValueError(f"dt must exceed the delta warm-up time {DELTA_WARMUP}, got {self.dt}")
+        if self.half_width is not None and not self.half_width > 0:
+            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        for name in ("mc_t_count", "mc_x_count", "mc_paths"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -510,7 +523,7 @@ def _shape_profile_pde(lam: float, delta: float, opts: ShapeOptions) -> ShapePro
     k_lo = int(math.ceil(lam * delta / tgrid.dt - 1e-9))
     k_hi = tgrid.n_steps
     k_idx = np.arange(k_lo, k_hi + 1, stride_t)
-    sol = solve_delta_scaled(rho, SolverConfig(delta_warmup=opts.delta_warmup), keep=k_idx)
+    sol = solve_delta_scaled(rho, keep=k_idx)
     stride_x = max(1, int(round(SHAPE_X_STEP * lam / sgrid.dx)))
     i0 = sgrid.center_index
     reach = int(math.floor((lam / delta) / (stride_x * sgrid.dx)))

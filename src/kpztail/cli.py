@@ -131,10 +131,11 @@ def _cmd_rearrange_check(args) -> int:
     return 0 if passed else 1
 
 
-def _rate_report_files(report, stride_cap: int = 201) -> dict:
+def _rate_report_files(report) -> dict:
+    """The report's files; the minimizer CSV keeps at most about 201 nodes per axis."""
     rho = report.minimizer
-    t_stride = max(1, (rho.tgrid.n_steps + 1) // stride_cap)
-    x_stride = max(1, rho.sgrid.n_points // stride_cap)
+    t_stride = max(1, (rho.tgrid.n_steps + 1) // 201)
+    x_stride = max(1, rho.sgrid.n_points // 201)
     descriptor = {
         "half_width": rho.sgrid.half_width,
         "n_points": rho.sgrid.n_points,
@@ -163,10 +164,8 @@ def _rate_report_files(report, stride_cap: int = 201) -> dict:
 def _rate_options(args) -> RateOptions:
     """The rate and tail-law flags as RateOptions; raises ValueError on bad values."""
     kw = {"n_points": args.n_points, "dt": args.dt, "max_iterations": args.max_iterations}
-    if args.subcommand == "rate":
-        kw["delta_warmup"] = args.warmup
-        if args.zeta is not None:
-            kw["zeta_candidates"] = (args.zeta,)
+    if args.subcommand == "rate" and args.zeta is not None:
+        kw["zeta_candidates"] = (args.zeta,)
     return RateOptions(**kw)
 
 
@@ -219,8 +218,7 @@ def _cmd_tail_law(args) -> int:
 
 
 def _cmd_limit_shape(args) -> int:
-    opts = bridge.ShapeOptions(dx=args.dx, dt=args.dt, delta_warmup=args.warmup,
-                               mc_paths=args.paths, mc_seed=args.seed)
+    opts = bridge.ShapeOptions(dx=args.dx, dt=args.dt, mc_paths=args.paths, mc_seed=args.seed)
     prof = bridge.shape_profile(args.lam, args.delta, backend=args.backend, opts=opts)
     summary = {
         "lambda": args.lam,
@@ -317,10 +315,12 @@ def _cmd_selftest(args) -> int:
 
 # --- parser ----------------------------------------------------------------------
 
-def _add_common(p, seed_default=12345):
+def _add_common(p, seed: bool = False):
+    """--out and --config; --seed only for the subcommands that draw random numbers."""
     p.add_argument("--out", default=None, help="output directory (default $KPZTAIL_OUT or ./out)")
     p.add_argument("--config", default=None, help="JSON file with defaults; flags win")
-    p.add_argument("--seed", type=int, default=seed_default)
+    if seed:
+        p.add_argument("--seed", type=int, default=12345)
 
 
 def _add_grid_flags(p, dx=0.01, half_width=20.0):
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_spectral)
 
     p = sub.add_parser("rearrange-check", help="randomized rearrangement suite")
-    _add_common(p)
+    _add_common(p, seed=True)
     _add_grid_flags(p, dx=0.05, half_width=10.0)
     p.add_argument("--trials", type=int, default=100)
     p.set_defaults(fn=_cmd_rearrange_check)
@@ -358,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=float, default=None)
     p.add_argument("--n-points", dest="n_points", type=int, default=801)
     p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--warmup", type=float, default=1e-3,
-                   help="delta warm-up time of the forward solver")
     p.add_argument("--max-iterations", dest="max_iterations", type=int, default=2000)
     p.set_defaults(fn=_cmd_rate)
 
@@ -373,19 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_tail_law)
 
     p = sub.add_parser("limit-shape", help="tilted-height field vs the limit shape")
-    _add_common(p)
+    _add_common(p, seed=True)  # read by the mc backend
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--backend", choices=("pde", "mc"), default="pde")
     p.add_argument("--dx", type=float, default=0.05)
     p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--warmup", type=float, default=1e-3,
-                   help="delta warm-up time of the forward solver")
     p.add_argument("--paths", type=int, default=50_000)
     p.set_defaults(fn=_cmd_limit_shape)
 
     p = sub.add_parser("hitting-time", help="first-hitting density table and MC histogram")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -395,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_hitting_time)
 
     p = sub.add_parser("fk", help="Monte Carlo Feynman-Kac estimate")
-    _add_common(p)
+    _add_common(p, seed=True)
     _add_grid_flags(p)
     _add_potential_flags(p)
     p.add_argument("--duration", type=float, required=True)

@@ -65,7 +65,10 @@ def _step_count(span: float, step: float) -> int:
     """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
-    n = int(round(span / step))
+    count = span / step
+    if not np.isfinite(count):
+        raise ValueError(f"step {step} does not divide the span {span} into a finite count")
+    n = int(round(count))
     if abs(n * step - span) > 1e-9 * max(1.0, span):
         raise ValueError(f"step {step} does not divide the span {span}")
     return n

@@ -119,9 +119,9 @@ def bll_check(f1: Potential, f2: Potential, f3: Potential, coeffs) -> tuple[floa
     return lhs, rhs
 
 
-def steiner_increases_z(rho: SpaceTimeDeviation, cfg=None) -> tuple[float, float]:
+def steiner_increases_z(rho: SpaceTimeDeviation) -> tuple[float, float]:
     """(Z(rho; T, 0), Z(rho^s; T, 0)); symmetrization never decreases the value."""
     from .solver import solve_delta_at
 
     t_end = rho.tgrid.t_end
-    return solve_delta_at(rho, t_end, 0.0, cfg), solve_delta_at(steiner(rho), t_end, 0.0, cfg)
+    return solve_delta_at(rho, t_end, 0.0), solve_delta_at(steiner(rho), t_end, 0.0)

@@ -40,15 +40,14 @@ class CheckResult:
     artifacts: dict = field(default_factory=dict)  # filename -> text body
 
 
+SEED = 20230811  # base of the randomized criteria's Philox keys, in every profile
+
+
 @dataclass(frozen=True)
 class Profile:
     name: str
-    seed: int = 20230811
     # criterion 2
     bound_trials: int = 100
-    # criterion 3
-    heat_nx: int = 8001
-    heat_nt: int = 1000
     # criterion 4
     norm_trials: int = 100
     # criterion 5
@@ -68,7 +67,6 @@ class Profile:
     growth_lambda: float = 32.0
     growth_paths: int = 12_000_000
     growth_paths_edge: int = 8_000_000
-    growth_step: float = 0.1
     hit_paths: int = 100_000
     hit_bins: int = 200
     hit_steps: int = 2000
@@ -78,8 +76,6 @@ FULL = Profile(name="full")
 QUICK = Profile(
     name="quick",
     bound_trials=15,
-    heat_nx=8001,
-    heat_nt=1000,
     norm_trials=10,
     norm_preserve_trials=20,
     hl_trials=25,
@@ -94,7 +90,6 @@ QUICK = Profile(
     growth_lambda=24.0,
     growth_paths=300_000,
     growth_paths_edge=200_000,
-    growth_step=0.1,
     hit_paths=20_000,
     hit_bins=50,
     hit_steps=800,
@@ -156,7 +151,7 @@ def check_spectral(profile: Profile) -> CheckResult:
             failures.append(f"scaling alpha={alpha}: F={f} vs {target}")
 
     bound_grid = standard_grid(0.02, 20.0)
-    rng = rng_from_seed(profile.seed + 2)
+    rng = rng_from_seed(SEED + 2)
     worst_margin = -np.inf
     for i in range(profile.bound_trials):
         phi = random_smooth_potential(rng, bound_grid, nonneg=False)
@@ -187,8 +182,8 @@ def check_solver(profile: Profile) -> CheckResult:
     rows = []
 
     # delta data with rho = 0 reproduces the heat kernel
-    sgrid = SpaceGrid(20.0, profile.heat_nx)
-    tgrid = TimeGrid(0.0, 2.0, profile.heat_nt)
+    sgrid = SpaceGrid(20.0, 8001)
+    tgrid = TimeGrid(0.0, 2.0, 1000)
     fld = solve_delta(_zero_deviation(tgrid, sgrid))
     mask = np.abs(sgrid.x) <= 5.0
     worst = 0.0
@@ -236,7 +231,7 @@ def check_solver(profile: Profile) -> CheckResult:
     rho_fd = SpaceTimeDeviation.time_constant(
         fd_tgrid, Potential(fd_grid, 1.0 / np.cosh(fd_grid.x) ** 2))
     grad = terminal_gradient(rho_fd)
-    rng = rng_from_seed(profile.seed + 3)
+    rng = rng_from_seed(SEED + 3)
     h = 1e-5
     worst_fd = 0.0
     dt, dx = fd_tgrid.dt, fd_grid.dx
@@ -284,7 +279,7 @@ def check_operator_norm(profile: Profile) -> CheckResult:
     # randomized bound checks on a throughput grid
     small = SpaceGrid(10.0, 201)
     tg_small = TimeGrid(0.0, 2.0, 100)
-    rng = rng_from_seed(profile.seed + 4)
+    rng = rng_from_seed(SEED + 4)
     worst = -np.inf
     for i in range(profile.norm_trials):
         rho = random_smooth_deviation(rng, tg_small, small)
@@ -310,7 +305,7 @@ def check_rearrangement(profile: Profile) -> CheckResult:
     failures = []
     rows = []
     grid = SpaceGrid(10.0, 401)
-    rng = rng_from_seed(profile.seed + 5)
+    rng = rng_from_seed(SEED + 5)
 
     worst_norm = 0.0
     idempotent = True
@@ -463,7 +458,7 @@ def check_bridge(profile: Profile) -> CheckResult:
     lam = profile.growth_lambda
     grid = standard_grid(0.05, 20.0)
     phi = spectral.rho_star(grid)
-    steps = int(round(2 * lam / profile.growth_step))
+    steps = int(round(2 * lam / 0.1))
     cfg0 = bridge.BridgeConfig(n_paths=profile.growth_paths, n_time_steps=steps,
                                seed=90210)
     g0 = bridge.growth_rate(phi, lam, 0.0, cfg0)

@@ -1,7 +1,8 @@
 """Crank-Nicolson solvers for the tilted heat equation dZ/dt = (1/2) Z_xx + rho Z.
 
-The delta initial condition is realized by starting the march at a small
-warm-up time t0 from the exact heat kernel, tilted by the local potential.
+The delta initial condition is realized by starting the march at the small
+warm-up time t0 = DELTA_WARMUP from the exact heat kernel, tilted by the
+local potential; every time step must exceed t0.
 Each step s->s+h uses the midpoint potential (rho(s)+rho(s+h))/2 at both the
 implicit and explicit level, so one step is M^{-1} N with
 
@@ -64,21 +65,13 @@ from .grids import (
 )
 
 POSITIVITY_FLOOR = 1e-280
+DELTA_WARMUP = 1e-3  # start time t0 of every delta-data march; each time step must exceed it
 NEGATIVE_NOISE_TOL = 1e-6
 RENORM_THRESHOLD = 1e120
 
 
 class SolverInstabilityError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    delta_warmup: float = 1e-3
-
-    def __post_init__(self):
-        if not 0 < self.delta_warmup:
-            raise ValueError("delta_warmup must be positive")
 
 
 def _rho_mid(rho: SpaceTimeDeviation, k: int) -> np.ndarray:
@@ -278,16 +271,15 @@ def _kept_nodes(keep, nt: int) -> np.ndarray:
     return nodes
 
 
-def _march_delta(rho: SpaceTimeDeviation, cfg: SolverConfig, keep=None,
-                 keep_warmup: bool = False):
+def _march_delta(rho: SpaceTimeDeviation, keep=None, keep_warmup: bool = False):
     """Delta-data march that stores the rows of the time nodes `keep` (default all)."""
     tg, sg = rho.tgrid, rho.sgrid
     if tg.t_start != 0.0:
         raise ValueError("delta-data solves start at t = 0")
-    t0 = cfg.delta_warmup
+    t0 = DELTA_WARMUP
     dt = tg.dt
     if not t0 < dt:
-        raise ValueError(f"delta_warmup {t0} must be smaller than dt {dt}")
+        raise ValueError(f"time step {dt} must exceed the delta warm-up time {t0}")
     stepper = _Stepper(sg)
     x = sg.x
     nt = tg.n_steps
@@ -337,27 +329,23 @@ def _march_delta(rho: SpaceTimeDeviation, cfg: SolverConfig, keep=None,
     return sol
 
 
-def solve_delta_scaled(rho: SpaceTimeDeviation, cfg: SolverConfig | None = None,
-                       keep=None) -> ScaledSolution:
+def solve_delta_scaled(rho: SpaceTimeDeviation, keep=None) -> ScaledSolution:
     """Delta-data solve in scaled rows; `keep` lists the increasing time-node
     indices whose rows are stored (default: every node)."""
-    cfg = cfg or SolverConfig()
-    return _march_delta(rho, cfg, keep)
+    return _march_delta(rho, keep)
 
 
-def solve_delta_at(rho: SpaceTimeDeviation, t: float, x: float,
-                   cfg: SolverConfig | None = None) -> float:
+def solve_delta_at(rho: SpaceTimeDeviation, t: float, x: float) -> float:
     """Z(rho; t, x) from a delta at (0, 0), storing only the row of time t.
 
-    Bitwise equal to `solve_delta(rho, cfg).at(t, x)`.
+    Bitwise equal to `solve_delta(rho).at(t, x)`.
     """
-    return solve_delta_scaled(rho, cfg, keep=[rho.tgrid.index_of(t)]).value_at(t, x)
+    return solve_delta_scaled(rho, keep=[rho.tgrid.index_of(t)]).value_at(t, x)
 
 
-def solve_delta(rho: SpaceTimeDeviation, cfg: SolverConfig | None = None) -> Field:
+def solve_delta(rho: SpaceTimeDeviation) -> Field:
     """Solve dZ/dt = Z_xx/2 + rho Z from a Dirac delta at (0, 0)."""
-    cfg = cfg or SolverConfig()
-    return _march_delta(rho, cfg).field()
+    return _march_delta(rho).field()
 
 
 def propagate(rho: SpaceTimeDeviation, s: float, t: float, f: Potential) -> Potential:
@@ -384,14 +372,14 @@ class OperatorNormResult:
 
 
 def operator_norm(rho: SpaceTimeDeviation, s: float, t: float, iters: int = 60,
-                  tolerance: float = 1e-8, seed: int = 7,
                   start: np.ndarray | None = None) -> OperatorNormResult:
     """Power-iteration estimate of the L2->L2 norm of the propagator s->t.
 
-    Iterates v <- P*P v from a positive random start; the Rayleigh estimate
-    sqrt(<Pv, Pv>/<v, v>) is nondecreasing up to convergence.  A custom
-    start vector helps when the top of the singular spectrum is nearly flat
-    (notably the plain heat semigroup on a wide box).
+    Iterates v <- P*P v from a positive random start (a fixed Philox
+    stream); the Rayleigh estimate sqrt(<Pv, Pv>/<v, v>) is nondecreasing up
+    to convergence, declared when two successive estimates agree to 1e-8
+    relative.  A custom start vector helps when the top of the singular
+    spectrum is nearly flat (notably the plain heat semigroup on a wide box).
     """
     if iters < 10:
         raise ValueError("iters must be >= 10")
@@ -407,7 +395,7 @@ def operator_norm(rho: SpaceTimeDeviation, s: float, t: float, iters: int = 60,
         if not np.all(np.isfinite(v)):
             raise ValueError("start has non-finite entries")
     else:
-        rng = np.random.Generator(np.random.Philox(seed))
+        rng = np.random.Generator(np.random.Philox(7))
         v = 1.0 + rng.random(sg.n_points)
     v[0] = 0.0
     v[-1] = 0.0
@@ -425,7 +413,7 @@ def operator_norm(rho: SpaceTimeDeviation, s: float, t: float, iters: int = 60,
         v = stepper.sweep_transpose(w, rho, ks, kt)
         _require_finite(v, "power iteration sweep")
         v /= np.sqrt(np.dot(v, v))
-        if it > 1 and abs(new_est - est) <= tolerance * max(new_est, 1e-300):
+        if it > 1 and abs(new_est - est) <= 1e-8 * max(new_est, 1e-300):
             est = new_est
             converged = True
             break
@@ -433,13 +421,12 @@ def operator_norm(rho: SpaceTimeDeviation, s: float, t: float, iters: int = 60,
     return OperatorNormResult(float(est), it, converged)
 
 
-def adjoint_solve(rho: SpaceTimeDeviation, terminal: Potential, cfg: SolverConfig | None = None) -> Field:
+def adjoint_solve(rho: SpaceTimeDeviation, terminal: Potential) -> Field:
     """Backward sweep A(s) = P(rho; s->T)* terminal for every time node.
 
     Mirrors the forward delta march step by step (warm-up sub-steps
     included), so <A(s), Z(s)> is constant in s to round-off.
     """
-    cfg = cfg or SolverConfig()
     tg, sg = rho.tgrid, rho.sgrid
     if terminal.grid != sg:
         raise ValueError("terminal grid does not match deviation grid")
@@ -453,14 +440,14 @@ def adjoint_solve(rho: SpaceTimeDeviation, terminal: Potential, cfg: SolverConfi
     out[nt] = v
     v = stepper.sweep_transpose(v, rho, 1, nt, out=out)
     rho_mid = _rho_mid(rho, 0)
-    for h in reversed(_warmup_substeps(cfg.delta_warmup, dt)):
+    for h in reversed(_warmup_substeps(DELTA_WARMUP, dt)):
         v = stepper.step_transpose(v, h, rho_mid)
     out[0] = v
     _require_finite(out, "adjoint sweep")
     return Field(tg, sg, out, strictly_positive=False)
 
 
-def log_terminal_and_gradient(rho: SpaceTimeDeviation, cfg: SolverConfig | None = None):
+def log_terminal_and_gradient(rho: SpaceTimeDeviation):
     """(log Z(T, 0), exact partials of log Z(T, 0) wrt every rho node value).
 
     Differentiates the stepped scheme itself.  One step is M^{-1} N with M, N
@@ -473,9 +460,8 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation, cfg: SolverConfig | None 
     Returned partials drive the rate optimizer's line search, which needs
     gradient/objective consistency to round-off.
     """
-    cfg = cfg or SolverConfig()
     tg, sg = rho.tgrid, rho.sgrid
-    sol, warm_vals, warm_steps = _march_delta(rho, cfg, keep_warmup=True)
+    sol, warm_vals, warm_steps = _march_delta(rho, keep_warmup=True)
     nt, dt = tg.n_steps, tg.dt
     i0 = sg.center_index
     rows, ls = sol.rows, sol.log_scale
@@ -518,7 +504,7 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation, cfg: SolverConfig | None 
     partials[1] += 0.5 * g0
 
     # warm-up tilt Z_0 = p(t0, .) exp((t0/2)(rho_0 + rho_0(center)))
-    t0 = cfg.delta_warmup
+    t0 = DELTA_WARMUP
     w0 = warm_vals[0] * u * scale0
     partials[0] += 0.5 * t0 * w0
     partials[0, i0] += 0.5 * t0 * float(w0.sum())

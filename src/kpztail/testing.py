@@ -23,12 +23,10 @@ def wall_envelope(grid: SpaceGrid) -> np.ndarray:
 
 
 def random_smooth_potential(rng: np.random.Generator, grid: SpaceGrid,
-                            max_bumps: int = 3,
-                            amp_range: tuple = (0.2, 2.0),
-                            width_range: tuple = (0.7, 3.0),
                             center_span: float = 5.0,
                             nonneg: bool = True) -> Potential:
-    """Sum of 1..max_bumps sech^2/Gaussian bumps, optionally signed.
+    """Sum of 1..3 sech^2/Gaussian bumps with amplitudes in [0.2, 2] and
+    widths in [0.7, 3], centered in [-center_span, center_span], optionally signed.
 
     The wall envelope keeps values below round-off at the half-weight
     trapezoid endpoints, so rearrangements preserve the discrete L2 norm
@@ -36,11 +34,11 @@ def random_smooth_potential(rng: np.random.Generator, grid: SpaceGrid,
     """
     x = grid.x
     vals = np.zeros_like(x)
-    for _ in range(int(rng.integers(1, max_bumps + 1))):
-        amp = rng.uniform(*amp_range)
+    for _ in range(int(rng.integers(1, 4))):
+        amp = rng.uniform(0.2, 2.0)
         if not nonneg and rng.random() < 0.5:
             amp = -amp
-        width = rng.uniform(*width_range)
+        width = rng.uniform(0.7, 3.0)
         center = rng.uniform(-center_span, center_span)
         if rng.random() < 0.5:
             vals += amp / np.cosh((x - center) / width) ** 2
@@ -50,27 +48,21 @@ def random_smooth_potential(rng: np.random.Generator, grid: SpaceGrid,
 
 
 def random_smooth_deviation(rng: np.random.Generator, tgrid: TimeGrid, sgrid: SpaceGrid,
-                            max_bumps: int = 3,
-                            amp_range: tuple = (0.1, 1.0),
-                            width_range: tuple = (0.7, 3.0),
-                            center_span: float = 4.0,
-                            time_modulation: bool = True) -> SpaceTimeDeviation:
-    """Nonnegative space-time field: separable smooth bumps, slow in time."""
+                            amp_range: tuple = (0.1, 1.0)) -> SpaceTimeDeviation:
+    """Nonnegative space-time field: 1..3 separable sech^2 bumps (widths in
+    [0.7, 3], centers in [-4, 4]), each modulated slowly in time."""
     x = sgrid.x
     t = tgrid.times
     span = tgrid.t_end - tgrid.t_start
     env = wall_envelope(sgrid)
     vals = np.zeros((t.size, x.size))
-    for _ in range(int(rng.integers(1, max_bumps + 1))):
+    for _ in range(int(rng.integers(1, 4))):
         amp = rng.uniform(*amp_range)
-        width = rng.uniform(*width_range)
-        center = rng.uniform(-center_span, center_span)
+        width = rng.uniform(0.7, 3.0)
+        center = rng.uniform(-4.0, 4.0)
         space = env * amp / np.cosh((x - center) / width) ** 2
-        if time_modulation:
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            freq = rng.uniform(0.0, 2.0 * np.pi)
-            mod = 0.5 * (1.0 + np.sin(phase + freq * (t - tgrid.t_start) / span))
-        else:
-            mod = np.ones_like(t)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        freq = rng.uniform(0.0, 2.0 * np.pi)
+        mod = 0.5 * (1.0 + np.sin(phase + freq * (t - tgrid.t_start) / span))
         vals += mod[:, None] * space[None, :]
     return SpaceTimeDeviation(tgrid, sgrid, vals)

@@ -59,7 +59,7 @@ from .grids import (
     standard_time_grid,
 )
 from .solver import (
-    SolverConfig,
+    DELTA_WARMUP,
     adjoint_solve,
     log_terminal_and_gradient,
     solve_delta_scaled,
@@ -83,7 +83,6 @@ class RateOptions:
     half_width: float = 20.0
     n_points: int = 801
     dt: float = 0.01
-    delta_warmup: float = 1e-3
     init: str = "rho_star"  # rho_star | half_rho_star | zeros
     init_values: np.ndarray | None = None  # explicit start, overrides init
     max_iterations: int = 2000  # total inner fixed-point iterations
@@ -93,9 +92,11 @@ class RateOptions:
     compute_certificate: bool = True
 
     def __post_init__(self):
-        for name in ("dt", "delta_warmup", "stationarity_tol", "feasibility_tol"):
+        for name in ("dt", "stationarity_tol", "feasibility_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.dt > DELTA_WARMUP:
+            raise ValueError(f"dt must exceed the delta warm-up time {DELTA_WARMUP}, got {self.dt}")
         if not self.max_iterations >= 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.init not in INITS:
@@ -136,23 +137,22 @@ def _target_log(lam: float) -> float:
     return lam - 0.5 * np.log(4.0 * np.pi * lam)
 
 
-def log_z_terminal(rho: SpaceTimeDeviation, cfg: SolverConfig) -> float:
-    sol = solve_delta_scaled(rho, cfg, keep=[rho.tgrid.n_steps])
+def log_z_terminal(rho: SpaceTimeDeviation) -> float:
+    sol = solve_delta_scaled(rho, keep=[rho.tgrid.n_steps])
     return sol.log_at(rho.tgrid.t_end, 0.0)
 
 
-def terminal_gradient(rho: SpaceTimeDeviation, cfg: SolverConfig | None = None) -> SpaceTimeDeviation:
+def terminal_gradient(rho: SpaceTimeDeviation) -> SpaceTimeDeviation:
     """Adjoint-state gradient field of rho -> Z(rho; T, 0).
 
     The value at node (s, y) is Z(s, y) A(s, y); one node's sensitivity of
     Z(T, 0) is that value times dt dx.
     """
-    cfg = cfg or SolverConfig()
-    z = solve_delta_scaled(rho, cfg).field()
+    z = solve_delta_scaled(rho).field()
     i0 = rho.sgrid.center_index
     terminal = np.zeros(rho.sgrid.n_points)
     terminal[i0] = 1.0 / rho.sgrid.dx
-    a = adjoint_solve(rho, Potential(rho.sgrid, terminal), cfg)
+    a = adjoint_solve(rho, Potential(rho.sgrid, terminal))
     return SpaceTimeDeviation(rho.tgrid, rho.sgrid, z.values * a.values)
 
 
@@ -164,11 +164,10 @@ def upper_certificate(lam: float, zeta: float, opts: RateOptions | None = None) 
         return 0.0
     opts = opts or RateOptions()
     tgrid, sgrid = _problem_grids(lam, opts)
-    cfg = SolverConfig(delta_warmup=opts.delta_warmup)
     cand = SpaceTimeDeviation.time_constant(
         tgrid, Potential(sgrid, (1.0 + zeta) * rho_star(sgrid).values)
     )
-    if log_z_terminal(cand, cfg) < _target_log(lam):
+    if log_z_terminal(cand) < _target_log(lam):
         raise CertificateUnavailableError(
             f"(1+{zeta}) sech^2 violates the threshold at lam={lam}; raise zeta or lam"
         )
@@ -244,7 +243,6 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
     if not 0.0 <= lam <= 32.0:
         raise ValueError(f"lam must lie in [0, 32] at desk scale, got {lam}")
     tgrid, sgrid = _problem_grids(lam, opts)
-    cfg = SolverConfig(delta_warmup=opts.delta_warmup)
     target = _target_log(lam)
     cost_scale = 2.0 * lam if lam > 0 else 2.0
 
@@ -268,7 +266,7 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
         return float(np.sqrt(inner(v, v)))
 
     def log_and_gradient():
-        log_zt, partials = log_terminal_and_gradient(current_rho(), cfg)
+        log_zt, partials = log_terminal_and_gradient(current_rho())
         grad = partials[:nt]
         grad[nt - 1] += partials[nt]  # fold the tied final node in
         grad *= inv_weight[None, :]
@@ -346,7 +344,7 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
             eta = eta * (1.25 if c_val > 0 else 0.8)
 
     rho_hat = current_rho()
-    log_zt = log_z_terminal(rho_hat, cfg)
+    log_zt = log_z_terminal(rho_hat)
     c_val = target - log_zt
     complementary = abs(c_val) <= opts.feasibility_tol or eta <= opts.feasibility_tol
     converged = (c_val <= opts.feasibility_tol) and complementary and (snorm <= opts.stationarity_tol)
@@ -379,21 +377,18 @@ def minimizer_distance(report: RateReport) -> float:
     return float(l2_norm_spacetime(diff) ** 2 / scale)
 
 
-def height_function(rho: SpaceTimeDeviation, lam: float, t: float, x: float,
-                    cfg: SolverConfig | None = None) -> float:
+def height_function(rho: SpaceTimeDeviation, lam: float, t: float, x: float) -> float:
     """h_lam(rho; t, x) = lam^-1 log(lam^(1/2) Z(rho; lam t, lam x)).
 
     lam t must be a node of rho's time grid and lam x a node of its space
     grid, up to round-off; otherwise the lookup raises ValueError.
     """
-    cfg = cfg or SolverConfig()
-    sol = solve_delta_scaled(rho, cfg, keep=[rho.tgrid.index_of(lam * t)])
+    sol = solve_delta_scaled(rho, keep=[rho.tgrid.index_of(lam * t)])
     return float((0.5 * np.log(lam) + sol.log_at(lam * t, lam * x)) / lam)
 
 
 def equicontinuity_probe(rho1: SpaceTimeDeviation, rho2: SpaceTimeDeviation,
-                         lam: float, t: float, x: float,
-                         cfg: SolverConfig | None = None) -> tuple[float, float]:
+                         lam: float, t: float, x: float) -> tuple[float, float]:
     """(|h_lam(rho1) - h_lam(rho2)| at (t, x), continuity modulus).
 
     The modulus is lam^(-1/2) ||rho1 - rho2|| (1 + lam^-1 ||rho1||^2 +
@@ -409,5 +404,5 @@ def equicontinuity_probe(rho1: SpaceTimeDeviation, rho2: SpaceTimeDeviation,
     n1 = l2_norm_spacetime(rho1)
     n2 = l2_norm_spacetime(rho2)
     modulus = dist * (1.0 + n1**2 / lam + n2**2 / lam)
-    lhs = abs(height_function(rho1, lam, t, x, cfg) - height_function(rho2, lam, t, x, cfg))
+    lhs = abs(height_function(rho1, lam, t, x) - height_function(rho2, lam, t, x))
     return float(lhs), float(modulus)

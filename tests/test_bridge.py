@@ -245,6 +245,21 @@ def test_shape_profile_config_error():
         shape_profile(2.0, 0.5, "pde")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dx", 0.0, "dx must be positive"),
+    ("dx", float("nan"), "dx must be positive"),
+    ("dt", 1e-3, "dt must exceed the delta warm-up time"),
+    ("dt", -0.01, "dt must exceed the delta warm-up time"),
+    ("half_width", 0.0, "half_width must be positive"),
+    ("mc_t_count", 0, "mc_t_count must be >= 1"),
+    ("mc_x_count", 0, "mc_x_count must be >= 1"),
+    ("mc_paths", 0, "mc_paths must be >= 1"),
+])
+def test_shape_options_reject_bad_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        ShapeOptions(**{field: value})
+
+
 def test_shape_profile_mc_spotcheck():
     prof = shape_profile(8.0, 0.5, "mc",
                          ShapeOptions(mc_t_count=2, mc_x_count=3, mc_paths=20_000))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -156,11 +157,12 @@ def test_config_bad_value_is_usage_error(tmp_path, capsys, subcommand, field):
 
 @pytest.mark.parametrize("argv, message", [
     (["rate", "--lambda", "1", "--dt", "0"], "dt must be positive"),
-    (["rate", "--lambda", "1", "--warmup", "-0.001"], "delta_warmup must be positive"),
+    (["rate", "--lambda", "1", "--dt", "0.001"], "dt must exceed the delta warm-up time"),
     (["rate", "--lambda", "1", "--max-iterations", "0"], "max_iterations must be >= 1"),
     (["rate", "--lambda", "1", "--zeta", "-1"], "zeta_candidates must be positive"),
     (["tail-law", "--lambdas", "4", "--dt", "nan"], "dt must be positive"),
     (["tail-law", "--lambdas", "4", "--max-iterations", "-3"], "max_iterations must be >= 1"),
+    (["rate", "--lambda", "1", "--dt", "1e-320"], "dt must exceed the delta warm-up time"),
 ])
 def test_bad_rate_options_are_usage_errors(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as err:
@@ -174,11 +176,54 @@ def test_bad_rate_options_are_usage_errors(tmp_path, capsys, argv, message):
     ["rate", "--lambda", "1", "--dt", "0.3"],
     ["limit-shape", "--lambda", "8", "--delta", "0.5", "--dt", "0.03"],
     ["spectral", "--dx", "0.3"],
+    ["spectral", "--dx", "1e-320"],  # span / step overflows to inf
 ])
 def test_step_that_does_not_divide_its_span_is_an_error(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert "does not divide" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["limit-shape", "--lambda", "8", "--delta", "0.5", "--dx", "0"], "dx must be positive"),
+    (["limit-shape", "--lambda", "8", "--delta", "0.5", "--dt", "0.001"],
+     "dt must exceed the delta warm-up time"),
+    (["limit-shape", "--lambda", "8", "--delta", "0.5", "--backend", "mc", "--paths", "0"],
+     "mc_paths must be >= 1"),
+    (["fk", "--duration", "200", "--amplitude", "5", "--paths", "1000"], "overflow"),
+])
+def test_bad_values_of_other_subcommands_are_errors(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["spectral"], ["rate", "--lambda", "1"],
+                                  ["tail-law", "--lambdas", "4"], ["figure1"], ["selftest"]])
+def test_seed_only_where_it_is_read(capsys, argv):
+    # these subcommands read no seed
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--seed", "5"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script, args, header", [
+    ("limit_shape_experiment.py", ["--lambdas", "8", "--dx", "0.1", "--dt", "0.02"],
+     "sup|h - h*|"),
+    ("tail_law_experiment.py", ["--lambdas", "1", "--n-points", "401", "--dt", "0.02"],
+     "phi_hat"),
+])
+def test_experiment_scripts_run(script, args, header):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / script), *args],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert header in lines[0]
+    assert len(lines) == 2 and "UNCONVERGED" not in lines[1]
 
 
 @pytest.mark.parametrize("body", [None, "{not json", "[1, 2]"])

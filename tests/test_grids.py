@@ -164,6 +164,8 @@ def test_standard_grids_take_the_step_as_given():
         standard_time_grid(0.3, 2.0)
     with pytest.raises(ValueError, match="does not divide"):
         standard_time_grid(0.03, 16.0)
+    with pytest.raises(ValueError, match="does not divide"):
+        standard_time_grid(1e-320, 2.0)  # span / step overflows to inf
     for step in (0.0, -0.01, float("nan")):
         with pytest.raises(ValueError, match="step must be positive"):
             standard_time_grid(step, 2.0)

@@ -192,7 +192,7 @@ def test_rate_phi_rejects_out_of_range():
 @pytest.mark.parametrize("field, value, message", [
     ("max_iterations", 0, "max_iterations must be >= 1"),
     ("dt", 0.0, "dt must be positive"),
-    ("delta_warmup", -1e-3, "delta_warmup must be positive"),
+    ("dt", 1e-3, "dt must exceed the delta warm-up time"),
     ("stationarity_tol", 0.0, "stationarity_tol must be positive"),
     ("feasibility_tol", float("nan"), "feasibility_tol must be positive"),
     ("init", "ones", "unknown init"),
