@@ -406,3 +406,79 @@ def test_gradient_pinned():
     assert partials[200, 100] == 0.003737764270464897
     assert hashlib.sha256(np.ascontiguousarray(partials, dtype="<f8").tobytes()).hexdigest() == (
         "3ba561c9a44d324ffb2db794f36951ce6ded6da4eb991ccc459a8c3dcb73c21f")
+
+
+# Time-varying sweeps pinned bitwise.  The step counts straddle the edges of
+# the solver's 32-interval coefficient chunks, which the forward sweeps cross
+# ascending and the transposed sweeps descending.
+PIN_STEP_COUNTS = (1, 31, 32, 33, 101)
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _pin_case(nt):
+    sg = SpaceGrid(10.0, 201)
+    tg = TimeGrid(0.0, 0.02 * nt, nt)
+    rho = random_smooth_deviation(rng_from_seed(400 + nt), tg, sg)
+    return rho, Potential(sg, np.exp(-sg.x**2))
+
+
+def _pinned_outputs(name, nt):
+    rho, f = _pin_case(nt)
+    tg = rho.tgrid
+    if name == "solve_delta_scaled":
+        sol = solve_delta_scaled(rho)
+        return sol.rows, sol.log_scale
+    if name == "propagate":
+        mid = tg.times[(nt + 1) // 3]
+        return (propagate(rho, 0.0, tg.t_end, f).values,
+                propagate(rho, mid, tg.t_end, f).values)
+    if name == "operator_norm":
+        res = operator_norm(rho, 0.0, tg.t_end, iters=10)
+        return np.array([res.value, res.iterations, res.converged]),
+    if name == "adjoint_solve":
+        return adjoint_solve(rho, f).values,
+    log_zt, partials = log_terminal_and_gradient(rho)
+    return np.array([log_zt]), partials
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("solve_delta_scaled",
+     "5041616a9c9b627f6149e205a7f8f31d4f89fde4a89bf6eeee927dc13313d009"),
+    ("propagate",
+     "110f86c84f75878e38610e3cad8a0bf804c45835f2114ddf9342cbbee03b241b"),
+    ("operator_norm",
+     "a06426e040dc36d26649edbba3487d9d22e2ba20607bfdc3daff404263178308"),
+    ("adjoint_solve",
+     "2ced8d9614723f4863cc25e36170a97c87629235c8f4308cda01d668b06c3816"),
+    ("log_terminal_and_gradient",
+     "aa255390b448752d29b8888c7997cd77e09bb57773850b2f92880a7fe8fcc46c"),
+])
+def test_time_varying_sweeps_pinned(name, digest):
+    got = _digest(*(a for nt in PIN_STEP_COUNTS for a in _pinned_outputs(name, nt)))
+    assert got == digest
+
+
+def test_time_varying_singular_step_raises():
+    # interval 35 of 40 has M[1, 1] = 1 - (h/2)(-1/dx^2 + 3) = 0 at the one
+    # interior node; the sweeps reach it from both sides of a chunk edge
+    sg = SpaceGrid(1.0, 3)
+    tg = TimeGrid(0.0, 40.0, 40)
+    vals = np.zeros((41, 3))
+    vals[35:37] = 3.0
+    rho = SpaceTimeDeviation(tg, sg, vals)
+    stepper = _Stepper(sg)
+    v = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        stepper.sweep(v, rho, 0, 40)
+    with pytest.raises(np.linalg.LinAlgError):
+        stepper.sweep_transpose(v, rho, 0, 40)
+    with pytest.raises(np.linalg.LinAlgError):
+        operator_norm(rho, 0.0, 40.0, iters=10)
+    with pytest.raises(np.linalg.LinAlgError):
+        propagate(rho, 30.0, 40.0, Potential(sg, v))
