@@ -71,6 +71,9 @@ class BridgeConfig:
             raise ValueError("block_size must be >= 1")
 
     def steps_for(self, duration: float) -> int:
+        """Time steps over `duration`; raises ValueError unless it is positive and finite."""
+        if not 0 < duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {duration}")
         if self.n_time_steps:
             return self.n_time_steps
         return max(2, int(math.ceil(20.0 * duration)))
@@ -131,8 +134,6 @@ def sample_bridge(start: float, end: float, duration: float, cfg: BridgeConfig) 
     the next sample has mean b + (end - b) ds / r and variance ds (r - ds)/r.
     Endpoints are pinned exactly.
     """
-    if not duration > 0:
-        raise ValueError("duration must be positive")
     n_steps = cfg.steps_for(duration)
     if cfg.n_paths * (n_steps + 1) > 6e7:
         raise MemoryError("path matrix too large; lower n_paths or stream blocks instead")
@@ -249,8 +250,8 @@ def fk_estimate(phi: Potential, duration: float, start: float, end: float,
     rule along each sampled path.
     """
     cfg = cfg or BridgeConfig()
-    if not duration > 0:
-        raise ValueError("duration must be positive")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValueError(f"bridge end points must be finite, got {start} and {end}")
     total = 0.0
     total_sq = 0.0
     n = 0
@@ -301,8 +302,10 @@ def hitting_density(s, t: float, x: float, lam: float):
     Closed form sqrt(lam^3 t x^2) / sqrt(2 pi s^3 (lam t - s)) *
     exp(-((lam t - s)/(2 lam t s)) (lam x)^2); zero outside (0, lam t).
     """
-    if not (t > 0 and lam > 0):
-        raise ValueError("need t > 0 and lam > 0")
+    if not (0 < t < math.inf and 0 < lam < math.inf):
+        raise ValueError("need finite t > 0 and lam > 0")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if x == 0:
         raise ValueError("hitting density is degenerate at x = 0")
     s = np.asarray(s, dtype=float)
@@ -323,8 +326,8 @@ def first_hitting_times(start: float, duration: float, cfg: BridgeConfig | None 
     """
     cfg = cfg or BridgeConfig()
     start = abs(float(start))
-    if start == 0:
-        raise ValueError("start must be away from zero")
+    if not 0 < start < math.inf:
+        raise ValueError(f"start must be finite and away from zero, got {start}")
     n_steps = cfg.steps_for(duration)
     ds = duration / n_steps
     out = np.empty(cfg.n_paths)
@@ -495,8 +498,8 @@ def shape_profile(lam: float, delta: float, backend: str = "pde",
     log-space bridge Monte Carlo on a coarse point set.
     """
     opts = opts or ShapeOptions()
-    if not lam >= 4:
-        raise ValueError("shape_profile is calibrated for lam >= 4")
+    if not 4 <= lam < math.inf:
+        raise ValueError(f"shape_profile is calibrated for finite lam >= 4, got {lam}")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     if backend == "pde":

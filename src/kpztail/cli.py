@@ -15,6 +15,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -105,6 +106,8 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_rearrange_check(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng = rng_from_seed(args.seed)
     grid = standard_grid(args.dx, args.half_width)
     worst_norm = 0.0
@@ -235,6 +238,10 @@ def _cmd_limit_shape(args) -> int:
 
 
 def _cmd_hitting_time(args) -> int:
+    if args.bins < 1:
+        raise ValueError(f"--bins must be >= 1, got {args.bins}")
+    if not all(map(math.isfinite, (args.t, args.x, args.lam))):
+        raise ValueError("--t, --x and --lambda must be finite")
     horizon = args.lam * args.t
     s_vals = np.linspace(horizon / 400, horizon * (1 - 1e-6), 400)
     dens = bridge.hitting_density(s_vals, args.t, args.x, args.lam)

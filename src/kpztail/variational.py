@@ -13,13 +13,11 @@ single scalar, so the KKT system is the fixed-point equation
 with one dual variable eta > 0 selected so the constraint is active.  The
 solver runs Anderson mixing of depth ANDERSON_DEPTH (Walker & Ni, SIAM J.
 Numer. Anal. 49, 2011) on the damped map u -> u + DAMPING (eta lam G(u) - u),
-projected onto the cone rho >= 0 and, every SD_PROJECT_INTERVAL iterations,
-onto Steiner-symmetric deviations, inside a secant loop of at most MAX_OUTER
+projected onto the cone rho >= 0, inside a secant loop of at most MAX_OUTER
 rounds on the monotone scalar map eta -> log Z; exit requires feasibility
 within tolerance and a scaled KKT gradient norm below the stationarity
-tolerance.  The mixing history restarts at every new eta and after every
-Steiner projection.  These four constants have one value in every caller, so
-they are not options.
+tolerance.  The mixing history restarts at every new eta.  These three
+constants have one value in every caller, so they are not options.
 
 Each iteration costs one forward march and one adjoint gradient sweep, and
 the damped map alone contracts only by about 0.55 per step.  Iterations on
@@ -49,7 +47,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rearrange
 from .grids import (
     Potential,
     SpaceGrid,
@@ -70,7 +67,6 @@ from .spectral import rho_star
 ANDERSON_DEPTH = 2  # differences kept by the KKT fixed-point mixer
 MAX_OUTER = 40  # dual (secant) rounds
 DAMPING = 0.7  # step of the damped KKT map
-SD_PROJECT_INTERVAL = 50  # inner iterations between Steiner projections
 INITS = ("rho_star", "half_rho_star", "zeros")
 
 
@@ -311,9 +307,6 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
             mixer.mix(u, grad)
             del grad  # free it before the next sweep allocates its own
             np.maximum(u, 0.0, out=u)
-            if it % SD_PROJECT_INTERVAL == 0:
-                u[:] = rearrange.steiner(current_rho()).values[:nt]
-                mixer.restart()
             log_zt, grad = log_and_gradient()
             c_val = target - log_zt
             if rel <= inner_tol:

@@ -191,6 +191,17 @@ def test_step_that_does_not_divide_its_span_is_an_error(tmp_path, capsys, argv):
     (["limit-shape", "--lambda", "8", "--delta", "0.5", "--backend", "mc", "--paths", "0"],
      "mc_paths must be >= 1"),
     (["fk", "--duration", "200", "--amplitude", "5", "--paths", "1000"], "overflow"),
+    (["fk", "--duration", "inf", "--paths", "100"], "duration must be positive and finite"),
+    (["fk", "--duration", "1", "--from", "nan", "--paths", "100"], "end points must be finite"),
+    (["rearrange-check", "--trials", "0"], "--trials must be >= 1"),
+    (["rearrange-check", "--trials", "-1"], "--trials must be >= 1"),
+    (["hitting-time", "--t", "1", "--x", "0.5", "--lambda", "4", "--bins", "0"],
+     "--bins must be >= 1"),
+    (["hitting-time", "--t", "1", "--x", "nan", "--lambda", "4", "--paths", "100"],
+     "--x and --lambda must be finite"),
+    (["hitting-time", "--t", "inf", "--x", "0.5", "--lambda", "4", "--paths", "100"],
+     "--x and --lambda must be finite"),
+    (["limit-shape", "--lambda", "inf", "--delta", "0.5"], "finite lam >= 4"),
 ])
 def test_bad_values_of_other_subcommands_are_errors(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
