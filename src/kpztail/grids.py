@@ -4,7 +4,8 @@ Space is the truncated line [-L, L] with Dirichlet-zero extension outside;
 time is a uniform partition of [t_start, t_end].  Spatial integrals use the
 trapezoid rule, time integrals use the left-endpoint rectangle rule.  The
 space grid always has an odd number of nodes so that x = 0 is a node and
-node i is the exact floating-point negative of node (n-1-i).
+node i is the exact floating-point negative of node (n-1-i).  A HalfLine
+holds the nodes x >= 0 of such a grid and stands for functions even in x.
 """
 
 from __future__ import annotations
@@ -55,6 +56,54 @@ class SpaceGrid:
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
+
+
+@dataclass(frozen=True)
+class HalfLine:
+    """The nodes x >= 0 of a SpaceGrid, standing for functions even in x.
+
+    Node 0 is the centre x = 0 and the last node the wall x = L; node j is
+    node center_index + j of `full`, bitwise.  The trapezoid weights
+    integrate the even extension over [-L, L]: dx at the centre, 2 dx in the
+    interior and dx at the wall, so weighted sums equal the full grid's.
+    The solver marches such a grid with a reflecting centre row.
+    """
+
+    full: SpaceGrid
+
+    @property
+    def n_points(self) -> int:
+        return self.full.center_index + 1
+
+    @property
+    def dx(self) -> float:
+        return self.full.dx
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.full.x[self.full.center_index:]
+
+    @property
+    def center_index(self) -> int:
+        return 0
+
+    def index_of(self, x: float) -> int:
+        """Index of the node at x >= 0; raises unless x is such a node up to round-off."""
+        i = self.full.index_of(x) - self.full.center_index
+        if i < 0:
+            raise ValueError(f"position {x} is not a grid node of {self}")
+        return i
+
+    def trapezoid_weights(self) -> np.ndarray:
+        w = np.full(self.n_points, 2.0 * self.dx)
+        w[0] = self.dx
+        w[-1] = self.dx
+        return w
+
+    def unfold(self, values: np.ndarray) -> np.ndarray:
+        """Rows of the even extension on `full`: each row mirrored about x = 0."""
+        values = np.asarray(values)
+        return np.concatenate((values[..., :0:-1], values), axis=-1)
 
 
 def _step_count(span: float, step: float) -> int:
@@ -128,7 +177,7 @@ def _check_values(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
 class Potential:
     """A time-independent real function sampled on a SpaceGrid."""
 
-    grid: SpaceGrid
+    grid: SpaceGrid | HalfLine
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -140,7 +189,7 @@ class SpaceTimeDeviation:
     """A real field rho(t, x) on TimeGrid x SpaceGrid (one row per time node)."""
 
     tgrid: TimeGrid
-    sgrid: SpaceGrid
+    sgrid: SpaceGrid | HalfLine
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -162,7 +211,7 @@ class Field:
     """A solution surface Z(t, x) with a strict-positivity flag."""
 
     tgrid: TimeGrid
-    sgrid: SpaceGrid
+    sgrid: SpaceGrid | HalfLine
     values: np.ndarray = field(repr=False)
     strictly_positive: bool = False
 

@@ -28,7 +28,13 @@ from .grids import (
 )
 from .solver import chaos_series_point, operator_norm, solve_delta, solve_delta_at
 from .testing import random_smooth_deviation, random_smooth_potential, rng_from_seed
-from .variational import RateOptions, minimizer_distance, rate_phi, terminal_gradient
+from .variational import (
+    RateOptions,
+    minimizer_distance,
+    rate_phi,
+    terminal_gradient,
+    time_constant_prediction,
+)
 
 
 @dataclass(frozen=True)
@@ -418,6 +424,8 @@ def check_tail_law(profile: Profile) -> CheckResult:
             failures.append(f"minimizer distance increases: {a:.4f} -> {b:.4f}")
 
     detail = ("ratios " + ", ".join(f"{r:.4f}" for r in ratios)
+              + "; time-constant prediction "
+              + ", ".join(f"{time_constant_prediction(lam):.4f}" for lam in profile.tail_lambdas)
               + "; distances " + ", ".join(f"{d:.4f}" for d in dists))
     if failures:
         detail += " | FAIL: " + "; ".join(failures)

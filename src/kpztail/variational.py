@@ -35,6 +35,23 @@ nt x n arrays: its inner products are the weighted `(a * b) @ w` sums that
 there made OpenBLAS's threads spin and nearly doubled the CPU time), and its
 2 (m + 1) history arrays are allocated once per solve.
 
+The iterate lives on the half line x >= 0 (`grids.HalfLine`).  Steiner
+symmetrization keeps ||rho|| and does not lower Z(T, 0) (criterion 5 checks
+this), so the minimum can be sought among deviations even in x.  The
+iterate, its gradient, the inner products and the mixing history hold the
+(n + 1)/2 nodes x >= 0, and the solver marches them with a reflecting
+centre row.  The half line's trapezoid weights integrate the even
+extension, so `inner`, `unorm` and the weights that turn node partials into
+the functional gradient keep their full-line formulas.  A start given as
+`init_values` is first projected onto even functions, (v + v reversed)/2.
+The returned minimizer is the iterate's exact mirror on the full grid, and
+its feasibility is checked again by a full-line march.  On the quick grid
+the lam = 4 pair keeps its 21 + 29 iterations and phi_hat moves by at most
+2.2e-15 relative; the benchmark's `rate` workload (that pair) went from
+1.20 s to 0.91 s of CPU, a gradient step from 50 us (n = 401) to 34 us
+(201 half-line nodes), and the optimizer's own array work from 0.20 s to
+0.09 s (2-vCPU Xeon VM).
+
 The estimate phi_hat = lam^(3/2) (1/(2 lam)) ||rho_hat||^2 is an upper bound
 on the true rate value certified feasible; the time-constant candidate
 (1+zeta) sech^2 provides the analytic certificate (4/3)(1+zeta)^2 lam^(3/2)
@@ -48,6 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import (
+    HalfLine,
     Potential,
     SpaceGrid,
     SpaceTimeDeviation,
@@ -68,6 +86,7 @@ ANDERSON_DEPTH = 2  # differences kept by the KKT fixed-point mixer
 MAX_OUTER = 40  # dual (secant) rounds
 DAMPING = 0.7  # step of the damped KKT map
 INITS = ("rho_star", "half_rho_star", "zeros")
+MAX_RATE_DX = 0.5  # coarsest space step that still resolves sech^2 (unit width)
 
 
 class CertificateUnavailableError(RuntimeError):
@@ -99,6 +118,13 @@ class RateOptions:
             raise ValueError(f"unknown init {self.init!r}; expected one of {INITS}")
         if not all(z > 0 for z in self.zeta_candidates):
             raise ValueError(f"zeta_candidates must be positive, got {self.zeta_candidates}")
+        if not (self.half_width > 0 and self.n_points >= 3):
+            raise ValueError(f"need half_width > 0 and n_points >= 3, got "
+                             f"{self.half_width} and {self.n_points}")
+        dx = 2.0 * self.half_width / (self.n_points - 1)
+        if not dx <= MAX_RATE_DX:
+            raise ValueError(f"space step 2 half_width/(n_points - 1) = {dx:.4g} exceeds "
+                             f"{MAX_RATE_DX}, too coarse to resolve sech^2")
 
 
 @dataclass(frozen=True)
@@ -131,6 +157,34 @@ def _target_log(lam: float) -> float:
     if lam == 0.0:
         return float(np.log(heat_kernel(2.0, 0.0)))
     return lam - 0.5 * np.log(4.0 * np.pi * lam)
+
+
+def time_constant_prediction(lam: float) -> float:
+    """Scaled ratio (4/3) a^3 of the best time-constant candidate a^2 sech^2(a x).
+
+    The ground state of a^2 sech^2(a x) is sqrt(a/2) sech(a x) with value
+    F = a^2/2, so log Z(2 lam, 0) is about lam a^2 + log(a/2), and the
+    candidate is feasible once lam (1 - a^2) <= (1/2) log(4 pi lam) + log(a/2).
+    The left side falls in a and the right side rises, so bisection finds
+    the smallest feasible a in (0, 1); the candidate's cost is (4/3) a^3
+    lam^(3/2).  A root exists for lam > 1/pi.  This is the finite-lam value
+    that criterion 6's ratios approach 4/3 against.
+    """
+    def excess(a):
+        return lam * (1.0 - a * a) - 0.5 * np.log(4.0 * np.pi * lam) - np.log(0.5 * a)
+
+    if not (lam > 1.0 / np.pi and np.isfinite(lam)):
+        raise ValueError(f"the time-constant prediction needs finite lam > 1/pi, got {lam}")
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if excess(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return float((4.0 / 3.0) * hi**3)
 
 
 def log_z_terminal(rho: SpaceTimeDeviation) -> float:
@@ -238,7 +292,9 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
     opts = opts or RateOptions()
     if not 0.0 <= lam <= 32.0:
         raise ValueError(f"lam must lie in [0, 32] at desk scale, got {lam}")
-    tgrid, sgrid = _problem_grids(lam, opts)
+    tgrid, full = _problem_grids(lam, opts)
+    # the iterate lives on x >= 0 and stands for its even extension
+    sgrid = HalfLine(full)
     target = _target_log(lam)
     cost_scale = 2.0 * lam if lam > 0 else 2.0
 
@@ -271,9 +327,11 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
     base = rho_star(sgrid).values
     if opts.init_values is not None:
         start = np.asarray(opts.init_values[:nt], dtype=float)
-        if start.shape != (nt, sgrid.n_points):
-            raise ValueError(f"init_values must cover {(nt, sgrid.n_points)} nodes")
-        np.maximum(start, 0.0, out=u)
+        if start.shape != (nt, full.n_points):
+            raise ValueError(f"init_values must cover {(nt, full.n_points)} nodes")
+        # the L2-orthogonal projection onto even functions, then its x >= 0 half
+        even = (start + start[:, ::-1]) / 2
+        np.maximum(even[:, full.center_index:], 0.0, out=u)
     elif opts.init == "rho_star":
         u[:] = base
     elif opts.init == "half_rho_star":
@@ -336,7 +394,9 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
         else:
             eta = eta * (1.25 if c_val > 0 else 0.8)
 
-    rho_hat = current_rho()
+    # the mirror on the full grid; its full-line march checks feasibility
+    # independently of the half-line sweeps
+    rho_hat = SpaceTimeDeviation(tgrid, full, sgrid.unfold(current_rho().values))
     log_zt = log_z_terminal(rho_hat)
     c_val = target - log_zt
     complementary = abs(c_val) <= opts.feasibility_tol or eta <= opts.feasibility_tol

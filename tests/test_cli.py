@@ -163,6 +163,9 @@ def test_config_bad_value_is_usage_error(tmp_path, capsys, subcommand, field):
     (["tail-law", "--lambdas", "4", "--dt", "nan"], "dt must be positive"),
     (["tail-law", "--lambdas", "4", "--max-iterations", "-3"], "max_iterations must be >= 1"),
     (["rate", "--lambda", "1", "--dt", "1e-320"], "dt must exceed the delta warm-up time"),
+    # dx = 20 cannot resolve sech^2; this once reported a "converged" phi_hat of 63.90
+    (["rate", "--lambda", "4", "--n-points", "3"], "too coarse to resolve sech^2"),
+    (["tail-law", "--lambdas", "4", "--n-points", "41"], "too coarse to resolve sech^2"),
 ])
 def test_bad_rate_options_are_usage_errors(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as err:

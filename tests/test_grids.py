@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kpztail.grids import (
     Field,
+    HalfLine,
     Potential,
     SpaceGrid,
     SpaceTimeDeviation,
@@ -51,6 +52,28 @@ def test_space_grid_index_of_needs_a_node():
     for off_node in (0.05, 0.3 + 1e-6, -3.96, 4.04, 5.0, -100.0):
         with pytest.raises(ValueError, match="not a grid node"):
             g.index_of(off_node)
+
+
+def test_half_line_grid():
+    full = SpaceGrid(4.0, 81)  # dx = 0.1
+    half = HalfLine(full)
+    assert half.n_points == 41 and half.center_index == 0
+    assert half.dx == full.dx
+    assert np.array_equal(half.x, full.x[40:])  # the full grid's nodes, bitwise
+    assert half.index_of(0.0) == 0 and half.index_of(4.0) == 40 and half.index_of(0.3) == 3
+    for bad in (-0.1, 0.05):
+        with pytest.raises(ValueError, match="not a grid node"):
+            half.index_of(bad)
+    # the weights integrate the even extension over [-L, L]
+    w = half.trapezoid_weights()
+    assert w[0] == full.dx and w[-1] == full.dx and np.all(w[1:-1] == 2 * full.dx)
+    even = 1.0 / np.cosh(full.x) ** 2
+    assert np.dot(w, even[40:]) == pytest.approx(np.dot(full.trapezoid_weights(), even), rel=1e-14)
+    # unfold mirrors every row about x = 0
+    rows = np.arange(2 * 41, dtype=float).reshape(2, 41)
+    unfolded = half.unfold(rows)
+    assert unfolded.shape == (2, 81)
+    assert np.array_equal(unfolded, unfolded[:, ::-1]) and np.array_equal(unfolded[:, 40:], rows)
 
 
 def test_time_grid():

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg.lapack import dgttrf
 
 from kpztail.grids import (
+    HalfLine,
     Potential,
     SpaceGrid,
     SpaceTimeDeviation,
@@ -14,6 +15,7 @@ from kpztail.grids import (
     l2_norm_space,
 )
 from kpztail.solver import (
+    CHUNK,
     SolverInstabilityError,
     _Stepper,
     adjoint_solve,
@@ -482,3 +484,93 @@ def test_time_varying_singular_step_raises():
         operator_norm(rho, 0.0, 40.0, iters=10)
     with pytest.raises(np.linalg.LinAlgError):
         propagate(rho, 30.0, 40.0, Potential(sg, v))
+
+
+# Half-line marches of even deviations against the full line.  The step
+# counts straddle the coefficient-chunk edges as in the pins above.
+HALF_LINE_STEP_COUNTS = (1, CHUNK - 1, CHUNK + 1, 3 * CHUNK + 5)
+
+
+def _even_case(nt):
+    sg = SpaceGrid(10.0, 201)
+    tg = TimeGrid(0.0, 0.02 * nt, nt)
+    rho = random_smooth_deviation(rng_from_seed(600 + nt), tg, sg)
+    vals = (rho.values + rho.values[:, ::-1]) / 2
+    c = sg.center_index
+    return (SpaceTimeDeviation(tg, sg, vals),
+            SpaceTimeDeviation(tg, HalfLine(sg), vals[:, c:]))
+
+
+@pytest.mark.parametrize("nt", HALF_LINE_STEP_COUNTS)
+def test_half_line_gradient_matches_full_line(nt):
+    full, half = _even_case(nt)
+    log_full, p_full = log_terminal_and_gradient(full)
+    log_half, p_half = log_terminal_and_gradient(half)
+    assert abs(log_half - log_full) <= 1e-12 * abs(log_full)
+    # a node x > 0 stands for x and -x
+    c = full.sgrid.center_index
+    multiplicity = np.full(c + 1, 2.0)
+    multiplicity[0] = 1.0
+    want = multiplicity * p_full[:, c:]
+    assert np.max(np.abs(p_half - want)) <= 1e-10 * np.max(np.abs(want))
+    sol = solve_delta_scaled(half)
+    assert sol.log_at(half.tgrid.t_end, 0.0) == log_half
+
+
+def test_half_line_gradient_matches_finite_differences():
+    _, half = _even_case(CHUNK + 1)
+    tg, hl = half.tgrid, half.sgrid
+    _, partials = log_terminal_and_gradient(half)
+    h = 1e-6
+    for k, j in [(0, 0), (16, 5), (CHUNK + 1, 12)]:
+        up = half.values.copy()
+        up[k, j] += h
+        lp = solve_delta_scaled(SpaceTimeDeviation(tg, hl, up)).log_at(tg.t_end, 0.0)
+        up[k, j] -= 2 * h
+        lm = solve_delta_scaled(SpaceTimeDeviation(tg, hl, up)).log_at(tg.t_end, 0.0)
+        assert partials[k, j] == pytest.approx((lp - lm) / (2 * h), rel=2e-6, abs=1e-9)
+
+
+def test_half_line_step_matches_dense_reflected_matrices():
+    # M = W^-1 S with S symmetric, W = diag(1/2, 1, ..., 1): row 0 couples to
+    # node 1 with weight 2; the last node is the pinned wall
+    hl = HalfLine(SpaceGrid(4.0, 129))
+    h = 2.0**-6
+    rng = rng_from_seed(304)
+    rho_mid = rng.normal(0.0, 2.0, hl.n_points)
+    n = hl.n_points - 1
+    a = (np.diag(-np.ones(n) / hl.dx**2 + rho_mid[:-1])
+         + np.diag(np.full(n - 1, 0.5 / hl.dx**2), 1)
+         + np.diag(np.full(n - 1, 0.5 / hl.dx**2), -1))
+    a[0, 1] *= 2.0
+    m_mat, n_mat = np.eye(n) - 0.5 * h * a, np.eye(n) + 0.5 * h * a
+    v = rng.normal(size=hl.n_points)
+    v[-1] = 0.0
+    stepper = _Stepper(hl)
+    step = np.linalg.solve(m_mat, n_mat @ v[:-1])
+    step_t = n_mat.T @ np.linalg.solve(m_mat.T, v[:-1])
+    for got, want in ((stepper.step(v, h, rho_mid), step),
+                      (stepper.step_transpose(v, h, rho_mid), step_t)):
+        assert got[-1] == 0.0
+        assert np.max(np.abs(got[:-1] - want)) <= 1e-12 * np.max(np.abs(want))
+    # the sweeps' transposed steps are the Euclidean transpose too
+    tg = TimeGrid(0.0, 3 * h, 3)
+    rho = SpaceTimeDeviation(tg, hl, np.tile(rho_mid, (4, 1)))
+    fwd = stepper.sweep(v, rho, 0, 3)
+    back = stepper.sweep_transpose(v, rho, 0, 3)
+    u = rng.normal(size=hl.n_points)
+    u[-1] = 0.0
+    assert np.dot(u, fwd) == pytest.approx(np.dot(stepper.sweep_transpose(u, rho, 0, 3), v),
+                                           rel=1e-12)
+    assert np.dot(u, back) == pytest.approx(np.dot(stepper.sweep(u, rho, 0, 3), v), rel=1e-12)
+
+
+def test_half_line_rejected_where_not_validated():
+    _, half = _even_case(4)
+    hl = half.sgrid
+    f = Potential(hl, np.exp(-hl.x**2))
+    for call in (lambda: propagate(half, 0.0, 0.08, f),
+                 lambda: operator_norm(half, 0.0, 0.08, iters=10),
+                 lambda: adjoint_solve(half, f)):
+        with pytest.raises(ValueError, match="half line"):
+            call()

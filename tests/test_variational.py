@@ -24,6 +24,7 @@ from kpztail.variational import (
     minimizer_distance,
     rate_phi,
     terminal_gradient,
+    time_constant_prediction,
     upper_certificate,
 )
 
@@ -93,8 +94,9 @@ def test_rate_report_invariants(report_lam1):
     assert rep.constraint_residual >= -1e-6
     assert rep.iterations > 0
     assert np.all(rep.minimizer.values >= 0.0)
-    # symmetric iterates stay symmetric
-    assert np.max(np.abs(rep.minimizer.values - rep.minimizer.values[:, ::-1])) <= 1e-10
+    # the half-line iterate comes back as its exact mirror on the full grid
+    assert rep.minimizer.sgrid == SpaceGrid(QUICK.half_width, QUICK.n_points)
+    assert np.array_equal(rep.minimizer.values, rep.minimizer.values[:, ::-1])
 
 
 def test_rate_initializations_agree():
@@ -197,10 +199,43 @@ def test_rate_phi_rejects_out_of_range():
     ("feasibility_tol", float("nan"), "feasibility_tol must be positive"),
     ("init", "ones", "unknown init"),
     ("zeta_candidates", (0.1, 0.0), "zeta_candidates must be positive"),
+    ("n_points", 3, "too coarse to resolve sech"),  # dx = 20
+    ("n_points", 79, "too coarse to resolve sech"),  # dx = 0.513
+    ("n_points", 1, "n_points >= 3"),
+    ("half_width", 0.0, "half_width > 0"),
 ])
 def test_rate_options_reject_bad_values(field, value, message):
     with pytest.raises(ValueError, match=message):
         RateOptions(**{field: value})
+
+
+def test_rate_options_resolution_rule_edge():
+    assert RateOptions(n_points=81).n_points == 81  # dx = 0.5 exactly
+
+
+def test_rate_phi_projects_init_values_onto_even_functions():
+    # an odd start projects to zero, so the run starts from zeros
+    tgrid = TimeGrid(0.0, 2.0, 100)
+    sgrid = SpaceGrid(20.0, 401)
+    odd = np.tile(np.tanh(sgrid.x), (tgrid.n_steps, 1))
+    rep = rate_phi(1.0, replace(QUICK, init_values=odd))
+    ref = rate_phi(1.0, replace(QUICK, init="zeros"))
+    assert rep.phi_hat == ref.phi_hat and rep.iterations == ref.iterations
+    with pytest.raises(ValueError, match="init_values must cover"):
+        rate_phi(1.0, replace(QUICK, init_values=odd[:, 1:]))
+
+
+@pytest.mark.parametrize("lam, ratio", [(4.0, 0.8214), (8.0, 0.9748), (16.0, 1.1035)])
+def test_time_constant_prediction(lam, ratio):
+    assert time_constant_prediction(lam) == pytest.approx(ratio, abs=5e-5)
+
+
+def test_time_constant_prediction_rises_toward_four_thirds():
+    values = [time_constant_prediction(lam) for lam in (1.0, 4.0, 32.0, 1e4)]
+    assert all(a < b < 4.0 / 3.0 for a, b in zip(values, values[1:]))
+    for lam in (0.3, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="lam > 1/pi"):
+            time_constant_prediction(lam)
 
 
 def test_anderson_mixer_beats_damping_on_linear_contraction():
