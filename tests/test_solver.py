@@ -440,8 +440,16 @@ def _pinned_outputs(name, nt):
         mid = tg.times[(nt + 1) // 3]
         return (propagate(rho, 0.0, tg.t_end, f).values,
                 propagate(rho, mid, tg.t_end, f).values)
-    if name == "operator_norm":
-        res = operator_norm(rho, 0.0, tg.t_end, iters=10)
+    if name.startswith("operator_norm"):
+        s, t, iters, start = 0.0, tg.t_end, 10, None
+        if name == "operator_norm_subspan":
+            # interior ends from nt = 31 on; nt = 1 has only the whole span
+            s, t = tg.times[(nt + 1) // 3], tg.times[nt - (nt - 1) // 4]
+        elif name == "operator_norm_converged":
+            iters = 60  # every count but nt = 1 stops early, after 9 to 26 iterations
+        elif name == "operator_norm_start":
+            iters, start = 60, np.exp(-rho.sgrid.x**2)
+        res = operator_norm(rho, s, t, iters=iters, start=start)
         return np.array([res.value, res.iterations, res.converged]),
     if name == "adjoint_solve":
         return adjoint_solve(rho, f).values,
@@ -456,6 +464,12 @@ def _pinned_outputs(name, nt):
      "110f86c84f75878e38610e3cad8a0bf804c45835f2114ddf9342cbbee03b241b"),
     ("operator_norm",
      "a06426e040dc36d26649edbba3487d9d22e2ba20607bfdc3daff404263178308"),
+    ("operator_norm_subspan",
+     "b1a8f0a8d7da11563fb724001bf1cbc92f9f235c71457d1b217d9118c2478da4"),
+    ("operator_norm_converged",
+     "e13980a4375960b95c5490ccfcc25ae06e7751a65971b5536d9e649d9fc04901"),
+    ("operator_norm_start",
+     "5a97f301b3f3a1213e8bcf405b88ba0af2c6e81a54ce3a6e831af47a3fe71407"),
     ("adjoint_solve",
      "2ced8d9614723f4863cc25e36170a97c87629235c8f4308cda01d668b06c3816"),
     ("log_terminal_and_gradient",

@@ -1,11 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from kpztail.grids import Potential, SpaceGrid, l2_norm_space
+from kpztail.grids import Potential, SpaceGrid, TimeGrid, l2_norm_space
 from kpztail.spectral import (
     GNS_CONSTANT,
+    f_time_integral,
     gns_ratio,
     ground_state,
     lipschitz_probe,
@@ -16,7 +18,7 @@ from kpztail.spectral import (
     rayleigh,
     stability_probe,
 )
-from kpztail.testing import random_smooth_potential, rng_from_seed
+from kpztail.testing import random_smooth_deviation, random_smooth_potential, rng_from_seed
 
 
 def sech_state(grid):
@@ -155,3 +157,30 @@ def test_scaling_invariance_of_f():
         phi = Potential(grid, alpha**2 / np.cosh(alpha * grid.x) ** 2)
         f = ground_state(phi).value
         assert f == pytest.approx(alpha**2 * 0.5, rel=1e-3)
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_ground_state_pinned():
+    # eigenpairs pinned bitwise: signed random potentials at n = 201 and
+    # sech^2 at n = 4001
+    rng = rng_from_seed(71)
+    phis = [random_smooth_potential(rng, SpaceGrid(10.0, 201), nonneg=False) for _ in range(8)]
+    phis.append(rho_star(SpaceGrid(20.0, 4001)))
+    states = [ground_state(phi) for phi in phis]
+    assert states[-1].value == 0.5000019444729875
+    assert _digest(*(a for gs in states for a in ([gs.value], gs.eigenfunction.values))) == (
+        "bb203a5117b72abdf2c0d690d21dcd5bd2db463cfd0fe8ba26a550617e55ba13")
+
+
+def test_f_time_integral_pinned():
+    sg, tg = SpaceGrid(10.0, 201), TimeGrid(0.0, 2.0, 100)
+    rng = rng_from_seed(72)
+    values = [f_time_integral(random_smooth_deviation(rng, tg, sg)) for _ in range(6)]
+    assert values[0] == 0.6543295032511404
+    assert _digest(values) == "54c89b5ff636e32e1991b94666d0e337e764a9d30218d03bf5de8a24c093d29a"
