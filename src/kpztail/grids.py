@@ -106,6 +106,12 @@ class HalfLine:
         return np.concatenate((values[..., :0:-1], values), axis=-1)
 
 
+def require_full_line(grid, what: str) -> None:
+    """Raise ValueError if `grid` is a HalfLine; `what` names the caller."""
+    if isinstance(grid, HalfLine):
+        raise ValueError(f"{what} needs a full SpaceGrid, not a half line")
+
+
 def _step_count(span: float, step: float) -> int:
     """span / step as an integer; raises unless step divides span up to round-off.
 

@@ -9,7 +9,9 @@ the level of squares), makes the output exactly symmetric and
 non-increasing in |x|, and keeps the sorted-pairing proof of the
 Hardy-Littlewood inequality valid shell by shell (Cauchy-Schwarz).  Other
 L^p norms move by at most the within-shell spread.  Fields are expected to
-vanish at the walls, where the trapezoid rule halves the weight.
+vanish at the walls, where the trapezoid rule halves the weight.  The
+middle node is x = 0 only on a full SpaceGrid, so every entry point but
+`steiner_increases_z` (which calls `steiner`) refuses a HalfLine.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Potential, SpaceTimeDeviation
+from .grids import Potential, SpaceTimeDeviation, require_full_line
 
 SD_TOLERANCE = 1e-10
 
@@ -44,6 +46,7 @@ def _rearrange_values(v: np.ndarray) -> np.ndarray:
 
 def sym_decr_rearrange(f: Potential) -> Potential:
     """Symmetric decreasing rearrangement of a nonnegative sampled function."""
+    require_full_line(f.grid, "sym_decr_rearrange")
     if np.any(f.values < 0):
         raise ValueError("rearrangement requires f >= 0")
     return Potential(f.grid, _rearrange_values(f.values))
@@ -51,6 +54,7 @@ def sym_decr_rearrange(f: Potential) -> Potential:
 
 def steiner(rho: SpaceTimeDeviation) -> SpaceTimeDeviation:
     """Slice-wise rearrangement in space, one time slice at a time."""
+    require_full_line(rho.sgrid, "steiner")
     if np.any(rho.values < 0):
         raise ValueError("Steiner symmetrization requires rho >= 0")
     out = np.empty(rho.values.shape)
@@ -61,6 +65,7 @@ def steiner(rho: SpaceTimeDeviation) -> SpaceTimeDeviation:
 
 def is_symmetric_decreasing(f: Potential, tolerance: float = SD_TOLERANCE) -> SDFlag:
     """Largest symmetry/monotonicity defect over node pairs on |x|."""
+    require_full_line(f.grid, "is_symmetric_decreasing")
     v = f.values
     n = v.shape[0]
     m = (n - 1) // 2
@@ -75,6 +80,7 @@ def is_symmetric_decreasing(f: Potential, tolerance: float = SD_TOLERANCE) -> SD
 
 def hardy_littlewood_check(f: Potential, g: Potential) -> tuple[float, float]:
     """(int f g, int f* g*); the first never exceeds the second."""
+    require_full_line(f.grid, "hardy_littlewood_check")
     if np.any(f.values < 0) or np.any(g.values < 0):
         raise ValueError("Hardy-Littlewood check requires nonnegative inputs")
     if f.grid != g.grid:
@@ -102,6 +108,7 @@ def bll_check(f1: Potential, f2: Potential, f3: Potential, coeffs) -> tuple[floa
         if f.grid != f1.grid:
             raise ValueError("all functions must share one grid")
     grid = f1.grid
+    require_full_line(grid, "bll_check")
     x = grid.x
     w = grid.trapezoid_weights()
     x1 = x[:, None]

@@ -30,17 +30,25 @@ for one sub- and one super-diagonal.  It is called directly because
 at n = 401.  The call does not check its input for non-finite values, so every
 sweep checks its result.
 
-A time-constant deviation (`SpaceTimeDeviation.time_constant`, rows held as
-one stride-0 view) has the same M on every grid interval.  The delta march
-and the sweeps of `propagate`, `operator_norm` and `adjoint_solve` then
-factor M once per march or sweep with `dgttrf` and run `dgttrs` on each step
-(the transposed step solves with the same M): the same elimination with the
-same pivot test, so the results are bitwise those of `dgtsv`.  The march
-stores only the time nodes its caller keeps.
+A step matrix M that is used more than once is factored once, in a
+factored span (`_FactoredSpan`): one `dgttrf` per interval, after which a
+step, forward or transposed, is `_apply_n` and one `dgttrs` (the transposed
+step solves with the same M).  dgttrf runs dgtsv's elimination with the
+same pivot test, so the results are bitwise those of `dgtsv`.  Two callers
+build one:
+- `operator_norm` factors every interval of its span once per call and
+  reuses the factors in all 2 iters sweeps.  The span holds about
+  (kt - ks) n 44 bytes: 0.9 MB for 100 steps at n = 201, 28 MB for 800
+  steps at n = 801;
+- a time-constant deviation (`SpaceTimeDeviation.time_constant`, rows held
+  as one stride-0 view) has the same M on every interval, so its delta
+  march and the sweeps of `propagate` and `adjoint_solve` share one
+  factorization.
+The march stores only the time nodes its caller keeps.
 
-A time-varying deviation has its own M and N on every interval.  Their
-diagonals 1 -+ (h/2)(kin_diag + rho_mid) are built CHUNK intervals at a time
-in whole-array operations (`_IntervalBands`), for sweeps in either
+Elsewhere a time-varying deviation's steps are each taken once per sweep.
+Their diagonals 1 -+ (h/2)(kin_diag + rho_mid) are built CHUNK intervals at
+a time in whole-array operations (`_IntervalBands`), for sweeps in either
 direction, and the off-diagonals once per sweep; the step loop runs only
 the explicit half-step, one `dgtsv` and the checks.  Each entry goes
 through the same elementwise operations as in a one-interval build, so the
@@ -81,11 +89,12 @@ Measured on a 2-vCPU Xeon VM:
 - one factorization per time-constant march: at n = 5761 a march step
   takes about 138 us against 218 us when each step rebuilds M for `dgtsv`,
   and a limit-shape run at L = 32 peaks at 83 MB instead of 644 MB;
-- still no cache of factors between the forward march and the gradient's
-  backward sweep: the gradient serves the rate optimizer, whose deviations
-  vary in time.  At n = 801 such a cache holds about 23 MB per gradient call,
+- no factored span in `log_terminal_and_gradient`: it serves the rate
+  optimizer, whose deviations vary in time, and takes each step once
+  forward and once backward.  At n = 801 a cache of the forward march's
+  factors for the backward sweep held about 23 MB per gradient call,
   raised the peak memory of the benchmark's `probes` workload by 18%, and
-  saves one factorization (about 7 us) per backward step.
+  saved one factorization (about 7 us) per backward step.
 """
 
 from __future__ import annotations
@@ -104,6 +113,7 @@ from .grids import (
     SpaceTimeDeviation,
     TimeGrid,
     heat_kernel,
+    require_full_line,
 )
 
 POSITIVITY_FLOOR = 1e-280
@@ -211,12 +221,6 @@ class _Stepper:
         off = -0.5 * h * self.kin_off
         return self._dl_unit * off, self._du_unit * off
 
-    def _m_bands(self, h: float, diag: np.ndarray):
-        """(sub-, main, super-diagonal) of one interval's M, as fresh arrays
-        LAPACK may overwrite; `diag` is left as it is."""
-        dl, du = self._m_offdiag(h)
-        return dl, self._diagonals(h, diag.copy())[1], du
-
     def step(self, v: np.ndarray, h: float, rho_mid: np.ndarray) -> np.ndarray:
         n_diag, m_diag = self._diagonals(h, self.kin_diag + rho_mid)
         dl, du = self._m_offdiag(h)
@@ -237,45 +241,26 @@ class _Stepper:
 
         A time-varying rho has its N and M diagonals built CHUNK intervals at a
         time (`_IntervalBands`) and the off-diagonals once; each call runs
-        `_apply_n` and one dgtsv.  A time-constant rho (stride-0 rows) has
-        the same M and N on every interval: their coefficients are computed
-        once, M is factored once with dgttrf, and each call runs dgttrs.
-        dgttrf uses dgtsv's pivot test and elimination, so either way the
-        results are bitwise those of `step` and `step_transpose`.
+        `_apply_n` and one dgtsv.  A time-constant rho (stride-0 rows) is a
+        `_FactoredSpan` with one factorization for every interval.  Either
+        way the results are bitwise those of `step` and `step_transpose`.
         """
+        if rho.values.strides[0] == 0:
+            span = _FactoredSpan(self, rho, h, 0, rho.tgrid.n_steps)
+            return span.step, span.step_transpose
         n_off = 0.5 * h * self.kin_off
         r = self.reflect
-        if rho.values.strides[0] != 0:
-            dl, du = self._m_offdiag(h)
-            ascending = _IntervalBands(self, rho, h, descending=False)
-            descending = _IntervalBands(self, rho, h, descending=True)
+        dl, du = self._m_offdiag(h)
+        ascending = _IntervalBands(self, rho, h, descending=False)
+        descending = _IntervalBands(self, rho, h, descending=True)
 
-            def step(v: np.ndarray, k: int) -> np.ndarray:
-                n_diag, m_diag = ascending(k)
-                return _solve_m(dl, m_diag, du, _apply_n(v, n_diag, n_off, r), r)
+        def step(v: np.ndarray, k: int) -> np.ndarray:
+            n_diag, m_diag = ascending(k)
+            return _solve_m(dl, m_diag, du, _apply_n(v, n_diag, n_off, r), r)
 
-            def step_transpose(v: np.ndarray, k: int) -> np.ndarray:
-                n_diag, m_diag = descending(k)
-                return _apply_n(_solve_m(dl, m_diag, du, v.copy(), r), n_diag, n_off, r)
-        else:
-            diag = self.kin_diag + _rho_mid(rho, 0)
-            dl, d, du, du2, ipiv, info = dgttrf(*self._m_bands(h, diag), 1, 1, 1)
-            if info > 0:
-                raise np.linalg.LinAlgError("singular matrix")
-            n_diag = self._diagonals(h, diag)[0]
-
-            def step(v: np.ndarray, k: int) -> np.ndarray:
-                # _apply_n leaves the wall entries zero, as _solve_m would set them
-                x, _ = dgttrs(dl, d, du, du2, ipiv, _apply_n(v, n_diag, n_off, r), overwrite_b=1)
-                return x
-
-            def step_transpose(v: np.ndarray, k: int) -> np.ndarray:
-                rhs = v.copy()
-                if not r:
-                    rhs[0] = 0.0
-                rhs[-1] = 0.0
-                x, _ = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
-                return _apply_n(x, n_diag, n_off, r)
+        def step_transpose(v: np.ndarray, k: int) -> np.ndarray:
+            n_diag, m_diag = descending(k)
+            return _apply_n(_solve_m(dl, m_diag, du, v.copy(), r), n_diag, n_off, r)
 
         return step, (_w_conjugate(step_transpose) if r else step_transpose)
 
@@ -296,6 +281,67 @@ class _Stepper:
             if out is not None:
                 out[k] = v
         return v
+
+
+class _FactoredSpan:
+    """The steps of length h over time intervals ks, ..., kt - 1 of rho, each
+    interval's M factored once.
+
+    Every interval keeps one dgttrf factorization of its M and its N
+    diagonal; a step, forward or transposed, is then `_apply_n` and one
+    dgttrs with trans='N' (M is symmetric on the pinned subspace, and a half
+    line conjugates the transposed step by W, see `_w_conjugate`).  A
+    time-constant rho (stride-0 rows) has one factorization shared by every
+    interval.  The diagonals are built for the whole span in array
+    operations, each entry by the same elementwise operations as in `step`;
+    dgttrf uses dgtsv's pivot test and elimination and dgttrs its
+    substitutions, so the results are bitwise those of `step` and
+    `step_transpose`.  A singular M raises LinAlgError when the span is
+    built.  A time-varying span holds about (kt - ks) n 44 bytes: 0.9 MB for
+    100 intervals at n = 201, 28 MB for 800 intervals at n = 801.
+    """
+
+    def __init__(self, stepper: _Stepper, rho: SpaceTimeDeviation, h: float, ks: int, kt: int):
+        self._reflect = stepper.reflect
+        self._n_off = 0.5 * h * stepper.kin_off
+        self._ks = ks
+        vals = rho.values
+        shared = vals.strides[0] == 0
+        lo, hi = (0, 1) if shared else (ks, kt)
+        rows, n = hi - lo, vals.shape[1]
+        # kin_diag + 0.5 (rho_k + rho_k+1), then M's diagonal in its storage;
+        # every band is C-ordered, so dgttrf factors each row in place
+        diag = np.add(vals[lo:hi], vals[lo + 1:hi + 1], out=np.empty((rows, n)))
+        diag *= 0.5
+        diag += stepper.kin_diag
+        n_diag, d = stepper._diagonals(h, diag)
+        dl, du = (np.tile(off, (rows, 1)) for off in stepper._m_offdiag(h))
+        du2 = np.empty((rows, n - 2))
+        ipiv = np.empty((rows, n), dtype=np.int32)
+        for j in range(rows):
+            *_, du2[j], ipiv[j], info = dgttrf(dl[j], d[j], du[j], 1, 1, 1)
+            if info > 0:
+                raise np.linalg.LinAlgError("singular matrix")
+        self._factors = list(zip(dl, d, du, du2, ipiv, n_diag))
+        if shared:
+            self._factors *= kt - ks
+        if self._reflect:
+            self.step_transpose = _w_conjugate(self.step_transpose)
+
+    def step(self, v: np.ndarray, k: int) -> np.ndarray:
+        dl, d, du, du2, ipiv, n_diag = self._factors[k - self._ks]
+        # _apply_n leaves the wall entries zero, as _solve_m would set them
+        rhs = _apply_n(v, n_diag, self._n_off, self._reflect)
+        return dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
+
+    def step_transpose(self, v: np.ndarray, k: int) -> np.ndarray:
+        dl, d, du, du2, ipiv, n_diag = self._factors[k - self._ks]
+        rhs = v.copy()
+        if not self._reflect:
+            rhs[0] = 0.0
+        rhs[-1] = 0.0
+        x = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
+        return _apply_n(x, n_diag, self._n_off, self._reflect)
 
 
 class _IntervalBands:
@@ -503,14 +549,9 @@ def solve_delta(rho: SpaceTimeDeviation) -> Field:
     return _march_delta(rho).field()
 
 
-def _require_full_line(sgrid, what: str) -> None:
-    if isinstance(sgrid, HalfLine):
-        raise ValueError(f"{what} needs a full SpaceGrid; it is not validated on a half line")
-
-
 def propagate(rho: SpaceTimeDeviation, s: float, t: float, f: Potential) -> Potential:
     """Evolve f from time s to time t under D/2 + rho; linear in f."""
-    _require_full_line(rho.sgrid, "propagate")
+    require_full_line(rho.sgrid, "propagate")
     if not s < t:
         raise ValueError(f"propagate needs s < t, got s={s}, t={t}")
     tg = rho.tgrid
@@ -541,8 +582,9 @@ def operator_norm(rho: SpaceTimeDeviation, s: float, t: float, iters: int = 60,
     to convergence, declared when two successive estimates agree to 1e-8
     relative.  A custom start vector helps when the top of the singular
     spectrum is nearly flat (notably the plain heat semigroup on a wide box).
+    Every interval's M is factored once per call (`_FactoredSpan`).
     """
-    _require_full_line(rho.sgrid, "operator_norm")
+    require_full_line(rho.sgrid, "operator_norm")
     if iters < 10:
         raise ValueError("iters must be >= 10")
     tg = rho.tgrid
@@ -563,16 +605,20 @@ def operator_norm(rho: SpaceTimeDeviation, s: float, t: float, iters: int = 60,
     v[-1] = 0.0
     if not np.any(v):
         raise ValueError("start is zero once the walls are pinned")
-    stepper = _Stepper(sg)
+    span = _FactoredSpan(_Stepper(sg), rho, tg.dt, ks, kt)
 
     est = 0.0
     converged = False
     it = 0
     for it in range(1, iters + 1):
-        w = stepper.sweep(v, rho, ks, kt)
+        w = v
+        for k in range(ks, kt):
+            w = span.step(w, k)
         _require_finite(w, "power iteration sweep")
         new_est = np.sqrt(np.dot(w, w) / np.dot(v, v))
-        v = stepper.sweep_transpose(w, rho, ks, kt)
+        v = w
+        for k in range(kt - 1, ks - 1, -1):
+            v = span.step_transpose(v, k)
         _require_finite(v, "power iteration sweep")
         v /= np.sqrt(np.dot(v, v))
         if it > 1 and abs(new_est - est) <= 1e-8 * max(new_est, 1e-300):
@@ -590,7 +636,7 @@ def adjoint_solve(rho: SpaceTimeDeviation, terminal: Potential) -> Field:
     included), so <A(s), Z(s)> is constant in s to round-off.
     """
     tg, sg = rho.tgrid, rho.sgrid
-    _require_full_line(sg, "adjoint_solve")
+    require_full_line(sg, "adjoint_solve")
     if terminal.grid != sg:
         raise ValueError("terminal grid does not match deviation grid")
     stepper = _Stepper(sg)

@@ -5,6 +5,15 @@ discretization with Dirichlet walls at +-L.  The Dirichlet box shifts
 F(0) from the continuum value 0 down to about -pi^2/(8 L^2); tolerances in
 callers absorb this O(L^-2) bias.
 
+The top eigenpair comes straight from LAPACK (`_top_eigenpair`): dstebz
+bisection for the largest eigenvalue alone, and dstein inverse iteration
+only when the eigenvector is wanted.  These are the calls
+`scipy.linalg.eigh_tridiagonal` makes for one eigenpair selected by index,
+without its argument validation, so the results are bitwise equal to it.
+`f_time_integral` asks for the eigenvalue only and builds the off-diagonal
+once per field.  Every entry point refuses a HalfLine: its centre would act
+as a Dirichlet wall.
+
 The sharp bound F(phi) <= (1/2)(3/4)^(2/3) ||phi||_2^(4/3) is attained
 exactly on the family a^2 sech^2(a(x - v)); its L2-normalized symmetric
 representative is r_star(x) = (3/4)^(2/3) sech^2((3/4)^(1/3) x).
@@ -15,9 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
-from .grids import Potential, SpaceGrid, SpaceTimeDeviation, l2_norm_space
+from .grids import (
+    Potential,
+    SpaceGrid,
+    SpaceTimeDeviation,
+    l2_norm_space,
+    require_full_line,
+)
 
 SHARP_BOUND_PREFACTOR = 0.5 * (3.0 / 4.0) ** (2.0 / 3.0)
 GNS_CONSTANT = 3.0 ** (-1.0 / 8.0)
@@ -49,25 +64,59 @@ def rayleigh(g: Potential, phi: Potential) -> float:
     return (pot_term - kinetic) / norm_sq
 
 
+def _check_info(info: int, routine: str) -> None:
+    """Raise on a LAPACK error code, as scipy.linalg does."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} did not converge (LAPACK info={info})")
+
+
+def _top_eigenpair(diag: np.ndarray, off: np.ndarray, vector: bool):
+    """(largest eigenvalue, its unit eigenvector or None) of the symmetric
+    tridiagonal matrix with diagonal `diag` and off-diagonal `off`.
+
+    The calls eigh_tridiagonal makes for one eigenpair selected by index:
+    dstebz bisection (il = iu = n, tol 0, block order) and dstein inverse
+    iteration.  For the one eigenvalue asked for, dstebz returns exactly
+    one (info 0) or reports an error, so the result is bitwise
+    eigh_tridiagonal's.
+    """
+    n = diag.size
+    if n == 1:  # as eigh_tridiagonal; the dstebz wrapper refuses an empty off-diagonal
+        return float(diag[0]), (np.ones(1) if vector else None)
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, n, n, 0.0, "B")
+    _check_info(info, "dstebz")
+    if not vector:
+        return float(w[0]), None
+    z, info = dstein(diag, off, w[:m], iblock, isplit)
+    _check_info(info, "dstein")
+    return float(w[0]), z[:, 0]
+
+
+def _bands(grid: SpaceGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of the interior rows of (1/2)D + phi, for phi
+    sampled in `values`; a 2-D `values` gives one diagonal per row."""
+    return -1.0 / grid.dx**2 + values[..., 1:-1], np.full(grid.n_points - 3, 0.5 / grid.dx**2)
+
+
 def ground_state(phi: Potential) -> GroundState:
     """Largest eigenpair of the Dirichlet discretization of (1/2)D + phi."""
     grid = phi.grid
+    require_full_line(grid, "ground_state")
     dx = grid.dx
-    n_int = grid.n_points - 2
-    diag = -1.0 / dx**2 + phi.values[1:-1]
-    off = np.full(n_int - 1, 0.5 / dx**2)
     try:
-        w, v = eigh_tridiagonal(diag, off, select="i", select_range=(n_int - 1, n_int - 1))
+        value, vec = _top_eigenpair(*_bands(grid, phi.values), vector=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(f"eigensolver failed on grid with {grid.n_points} nodes") from exc
     g = np.zeros(grid.n_points)
-    g[1:-1] = v[:, 0]
+    g[1:-1] = vec
     if g.sum() < 0:
         g = -g
     # top eigenvector is positive up to round-off in the far tails
     g = np.maximum(g, 0.0)
     g /= np.sqrt(np.dot(g, g) * dx)
-    return GroundState(float(w[0]), Potential(grid, g))
+    return GroundState(value, Potential(grid, g))
 
 
 def potbd_bound(phi: Potential) -> float:
@@ -102,6 +151,7 @@ def rho_star(grid: SpaceGrid) -> Potential:
 
 def lipschitz_probe(phi: Potential, psi: Potential, deltas) -> list[float]:
     """Empirical Lipschitz ratios |F(phi + d psi) - F(phi)| / (d ||psi||_2)."""
+    require_full_line(phi.grid, "lipschitz_probe")
     psi_norm = l2_norm_space(psi)
     base = ground_state(phi).value
     out = []
@@ -139,6 +189,7 @@ def stability_probe(phi: Potential) -> tuple[float, float]:
     """
     from .rearrange import is_symmetric_decreasing
 
+    require_full_line(phi.grid, "stability_probe")
     if np.any(phi.values < 0):
         raise ValueError("stability_probe requires phi >= 0")
     if l2_norm_space(phi) <= 0:
@@ -154,6 +205,12 @@ def stability_probe(phi: Potential) -> tuple[float, float]:
 
 
 def f_time_integral(rho: SpaceTimeDeviation) -> float:
-    """Trapezoid-in-time integral of F(rho(r, .)) over the full time window."""
-    vals = [ground_state(rho.slice_potential(k)).value for k in range(rho.tgrid.n_steps + 1)]
+    """Trapezoid-in-time integral of F(rho(r, .)) over the full time window.
+
+    Each slice's F is `ground_state(...).value`, computed without the
+    eigenvector.
+    """
+    require_full_line(rho.sgrid, "f_time_integral")
+    diags, off = _bands(rho.sgrid, rho.values)
+    vals = [_top_eigenpair(diag, off, vector=False)[0] for diag in diags]
     return float(np.trapezoid(vals, dx=rho.tgrid.dt))

@@ -9,7 +9,12 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from kpztail import selftest
+
+# `pytest -m "not acceptance"` runs the unit suite alone
+pytestmark = pytest.mark.acceptance
 
 
 def run_and_report(criterion: int) -> selftest.CheckResult:

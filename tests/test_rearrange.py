@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpztail.grids import Potential, SpaceGrid, SpaceTimeDeviation, TimeGrid, l2_norm_space
+from kpztail.grids import (
+    HalfLine,
+    Potential,
+    SpaceGrid,
+    SpaceTimeDeviation,
+    TimeGrid,
+    l2_norm_space,
+)
 from kpztail.rearrange import (
     bll_check,
     hardy_littlewood_check,
@@ -166,3 +173,22 @@ def test_steiner_increases_terminal_value():
         rho = random_smooth_deviation(rng, tg, sg)
         z, z_s = steiner_increases_z(rho)
         assert z <= z_s * (1 + 1e-4)
+
+
+# the rearrangement centres its output at the middle node, so on a half
+# line it would not be symmetric about x = 0; every entry point refuses one
+_HALF = HalfLine(SpaceGrid(10.0, 401))
+_HALF_F = Potential(_HALF, 1.0 / np.cosh(_HALF.x) ** 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sym_decr_rearrange(_HALF_F),
+    lambda: steiner(SpaceTimeDeviation.time_constant(TimeGrid(0.0, 1.0, 4), _HALF_F)),
+    lambda: is_symmetric_decreasing(_HALF_F),
+    lambda: hardy_littlewood_check(_HALF_F, _HALF_F),
+    lambda: bll_check(_HALF_F, _HALF_F, _HALF_F, np.eye(3, 2)),
+], ids=["sym_decr_rearrange", "steiner", "is_symmetric_decreasing",
+        "hardy_littlewood_check", "bll_check"])
+def test_half_line_rejected(call):
+    with pytest.raises(ValueError, match="half line"):
+        call()

@@ -352,7 +352,8 @@ def test_time_constant_march_matches_materialized(half_width, n_points, t_end, n
     tg = TimeGrid(0.0, t_end, n_steps)
     rho_mid = profile(sg.x)
     stepper = _Stepper(sg)
-    ipiv = dgttrf(*stepper._m_bands(tg.dt, stepper.kin_diag + rho_mid))[4]
+    dl, du = stepper._m_offdiag(tg.dt)
+    ipiv = dgttrf(dl, stepper._diagonals(tg.dt, stepper.kin_diag + rho_mid)[1], du)[4]
     assert np.flatnonzero(ipiv != np.arange(1, n_points + 1)).tolist() == pivot_rows
 
     constant = SpaceTimeDeviation.time_constant(tg, Potential(sg, rho_mid))

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from kpztail.grids import Potential, SpaceGrid, TimeGrid, l2_norm_space
+from kpztail.grids import (
+    HalfLine,
+    Potential,
+    SpaceGrid,
+    SpaceTimeDeviation,
+    TimeGrid,
+    l2_norm_space,
+)
 from kpztail.spectral import (
     GNS_CONSTANT,
     f_time_integral,
@@ -184,3 +191,20 @@ def test_f_time_integral_pinned():
     values = [f_time_integral(random_smooth_deviation(rng, tg, sg)) for _ in range(6)]
     assert values[0] == 0.6543295032511404
     assert _digest(values) == "54c89b5ff636e32e1991b94666d0e337e764a9d30218d03bf5de8a24c093d29a"
+
+
+# on the half of SpaceGrid(10, 401) the Dirichlet eigenproblem has its wall
+# at x = 0: F(sech^2) came out -0.0152 instead of 0.5
+_HALF = HalfLine(SpaceGrid(10.0, 401))
+_HALF_SECH2 = Potential(_HALF, 1.0 / np.cosh(_HALF.x) ** 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ground_state(_HALF_SECH2),
+    lambda: f_time_integral(SpaceTimeDeviation.time_constant(TimeGrid(0.0, 1.0, 4), _HALF_SECH2)),
+    lambda: lipschitz_probe(_HALF_SECH2, _HALF_SECH2, [0.1]),
+    lambda: stability_probe(_HALF_SECH2),
+], ids=["ground_state", "f_time_integral", "lipschitz_probe", "stability_probe"])
+def test_half_line_rejected(call):
+    with pytest.raises(ValueError, match="half line"):
+        call()
