@@ -86,6 +86,9 @@ Measured on a 2-vCPU Xeon VM:
   backward) 51 us instead of 76 us; at n = 801 41.7 us instead of 52.6 us
   and 80 us instead of 103 us; a power-iteration step at n = 201 13.6 us
   instead of 22.2 us;
+- factored spans in `operator_norm`, traced benchmark runs against sweeps
+  that rebuild the coefficients and call `dgtsv` on every step: a
+  power-iteration step at n = 201 takes 9.8 us instead of 14.3 us;
 - one factorization per time-constant march: at n = 5761 a march step
   takes about 138 us against 218 us when each step rebuilds M for `dgtsv`,
   and a limit-shape run at L = 32 peaks at 83 MB instead of 644 MB;
@@ -285,20 +288,16 @@ class _Stepper:
 
 class _FactoredSpan:
     """The steps of length h over time intervals ks, ..., kt - 1 of rho, each
-    interval's M factored once.
+    interval's M factored once (see the module docstring).
 
-    Every interval keeps one dgttrf factorization of its M and its N
-    diagonal; a step, forward or transposed, is then `_apply_n` and one
-    dgttrs with trans='N' (M is symmetric on the pinned subspace, and a half
-    line conjugates the transposed step by W, see `_w_conjugate`).  A
-    time-constant rho (stride-0 rows) has one factorization shared by every
-    interval.  The diagonals are built for the whole span in array
-    operations, each entry by the same elementwise operations as in `step`;
-    dgttrf uses dgtsv's pivot test and elimination and dgttrs its
-    substitutions, so the results are bitwise those of `step` and
-    `step_transpose`.  A singular M raises LinAlgError when the span is
-    built.  A time-varying span holds about (kt - ks) n 44 bytes: 0.9 MB for
-    100 intervals at n = 201, 28 MB for 800 intervals at n = 801.
+    Every interval keeps its dgttrf factors and its N diagonal, built for the
+    whole span in array operations, each entry by the same elementwise
+    operations as in `step`.  A step, forward or transposed, is then
+    `_apply_n` and one dgttrs with trans='N' (a half line conjugates the
+    transposed step by W, see `_w_conjugate`), bitwise equal to `step` and
+    `step_transpose`.  A time-constant rho (stride-0 rows) has one
+    factorization shared by every interval.  A singular M raises
+    LinAlgError when the span is built.
     """
 
     def __init__(self, stepper: _Stepper, rho: SpaceTimeDeviation, h: float, ks: int, kt: int):
