@@ -280,3 +280,24 @@ def test_quick_rate_lam4_anderson(init, phi_ref, max_iters):
     assert sum(r[3] for r in rep.rounds) == rep.iterations
     assert rep.rounds[-1][2] <= opts.stationarity_tol
     assert all(r[0] > 0 for r in rep.rounds)
+
+
+# phi_hat of each start as recorded by the nested secant-and-Anderson loop
+QUICK_GRID_PHI = {
+    (1.0, "rho_star"): 0.38637266881779825,
+    (1.0, "half_rho_star"): 0.38637238447284594,
+    (1.0, "zeros"): 0.38637246673310927,
+    (4.0, "rho_star"): 5.6986401718905215,
+    (4.0, "half_rho_star"): 5.698642100544532,
+    (4.0, "zeros"): 5.698642356173418,
+    (16.0, "rho_star"): 67.89191433778178,
+    (16.0, "half_rho_star"): 67.89191381170963,
+    (16.0, "zeros"): 67.89191361031777,
+}
+
+
+@pytest.mark.parametrize("lam, init", sorted(QUICK_GRID_PHI))
+def test_quick_grid_rate_from_each_start(lam, init):
+    rep = rate_phi(lam, replace(QUICK, init=init, max_iterations=400))
+    assert rep.converged
+    assert rep.phi_hat == pytest.approx(QUICK_GRID_PHI[lam, init], rel=1e-6)
