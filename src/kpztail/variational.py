@@ -10,30 +10,47 @@ single scalar, so the KKT system is the fixed-point equation
 
     rho = eta * lam * G(rho),      G = d log Z(T, 0) / d rho,
 
-with one dual variable eta > 0 selected so the constraint is active.  The
-solver runs Anderson mixing of depth ANDERSON_DEPTH (Walker & Ni, SIAM J.
-Numer. Anal. 49, 2011) on the damped map u -> u + DAMPING (eta lam G(u) - u),
-projected onto the cone rho >= 0, inside a secant loop of at most MAX_OUTER
-rounds on the monotone scalar map eta -> log Z; exit requires feasibility
-within tolerance and a scaled KKT gradient norm below the stationarity
-tolerance.  The mixing history restarts at every new eta.  These three
-constants have one value in every caller, so they are not options.
+with one dual variable eta >= 0 that vanishes unless the constraint is
+active.  The solver runs one loop.  At each iterate u it evaluates log Z
+and G (one forward march and one adjoint gradient sweep) and sets the dual
+variable from the linearized constraint: the damped step
+u' = u + DAMPING (eta lam G - u) changes log Z by <G, u' - u> to first
+order, and asking that change to close the gap to the target gives
 
-Each iteration costs one forward march and one adjoint gradient sweep, and
-the damped map alone contracts only by about 0.55 per step.  Iterations on
-the quick grid (n = 401, dt = 0.02) from rho_star / half_rho_star, damped map
-alone against Anderson mixing:
+    eta = max((<u, G> + (target - log Z) / DAMPING) / (lam <G, G>), 0),
 
-    lam = 1:   43 / 37  ->  20 / 15
-    lam = 4:   48 / 65  ->  21 / 29
-    lam = 8:   89 / 102 ->  32 / 42
-    lam = 16: 109 / 136 ->  45 / 49
+the multiplier of a sequential-quadratic-programming step for a single
+constraint (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 18).  A
+fixed point u = eta lam G with this eta is feasible, and eta = 0 leaves
+u -> (1 - DAMPING) u where the constraint is slack.  The loop stops when
+(u, eta) passes the three KKT tests: feasibility and complementarity within
+the feasibility tolerance, and a scaled KKT gradient norm below the
+stationarity tolerance.  Otherwise it takes one step of Anderson mixing of
+depth ANDERSON_DEPTH (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) on the
+damped map u -> u + DAMPING (eta lam G(u) - u), projects onto the cone
+rho >= 0 and evaluates again.  The mixing history runs through the whole
+solve.  `RateReport.rounds` keeps one (eta, log Z, KKT norm, steps since
+the previous entry) per evaluation.  ANDERSON_DEPTH and DAMPING have one
+value in every caller, so they are not options.
 
-with phi_hat within 7e-7 relative of the damped map's.  The mixing works on
-nt x n arrays: its inner products are the weighted `(a * b) @ w` sums that
-`unorm` uses, never BLAS level-1 calls on the flattened arrays (`np.vdot`
-there made OpenBLAS's threads spin and nearly doubled the CPU time), and its
-2 (m + 1) history arrays are allocated once per solve.
+An earlier design ran a secant on eta around the mixing, restarting the
+history at every new eta and driving u to the fixed point of each trial
+eta.  Iterations on the quick grid (n = 401, dt = 0.02) from rho_star /
+half_rho_star / zeros, secant rounds against the one loop:
+
+    lam = 1:   20 / 15 /  72  ->  6 / 6 / 5
+    lam = 4:   21 / 29 / 100  ->  6 / 6 / 7
+    lam = 8:   32 / 42 / 130  ->  7 / 7 / 8
+    lam = 16:  45 / 49 / 126  ->  7 / 7 / 9
+
+with phi_hat within 5.5e-7 relative of the secant rounds' (their starts
+differ from each other by up to 7.4e-7).  The mixing works on nt x n
+arrays: its inner products are the weighted `(a * b) @ w` sums of `inner`,
+never BLAS level-1 calls on the flattened arrays (`np.vdot` there made
+OpenBLAS's threads spin and nearly doubled the CPU time), and its 2 (m + 1)
+history arrays are allocated once per solve.  A solve whose full grid has
+more than RATE_NODE_BUDGET space-time nodes is refused before any array is
+allocated.
 
 The iterate lives on the half line x >= 0 (`grids.HalfLine`).  Steiner
 symmetrization keeps ||rho|| and does not lower Z(T, 0) (criterion 5 checks
@@ -41,16 +58,13 @@ this), so the minimum can be sought among deviations even in x.  The
 iterate, its gradient, the inner products and the mixing history hold the
 (n + 1)/2 nodes x >= 0, and the solver marches them with a reflecting
 centre row.  The half line's trapezoid weights integrate the even
-extension, so `inner`, `unorm` and the weights that turn node partials into
+extension, so `inner` and the weights that turn node partials into
 the functional gradient keep their full-line formulas.  A start given as
 `init_values` is first projected onto even functions, (v + v reversed)/2.
 The returned minimizer is the iterate's exact mirror on the full grid, and
-its feasibility is checked again by a full-line march.  On the quick grid
-the lam = 4 pair keeps its 21 + 29 iterations and phi_hat moves by at most
-2.2e-15 relative; the benchmark's `rate` workload (that pair) went from
-1.20 s to 0.91 s of CPU, a gradient step from 50 us (n = 401) to 34 us
-(201 half-line nodes), and the optimizer's own array work from 0.20 s to
-0.09 s (2-vCPU Xeon VM).
+its feasibility is checked again by a full-line march.  On the half line a
+gradient step costs 34 us at n = 401 (201 nodes) against 50 us on the full
+line (2-vCPU Xeon VM).
 
 The estimate phi_hat = lam^(3/2) (1/(2 lam)) ||rho_hat||^2 is an upper bound
 on the true rate value certified feasible; the time-constant candidate
@@ -83,10 +97,12 @@ from .spectral import rho_star
 
 
 ANDERSON_DEPTH = 2  # differences kept by the KKT fixed-point mixer
-MAX_OUTER = 40  # dual (secant) rounds
 DAMPING = 0.7  # step of the damped KKT map
 INITS = ("rho_star", "half_rho_star", "zeros")
 MAX_RATE_DX = 0.5  # coarsest space step that still resolves sech^2 (unit width)
+# space-time nodes of one solve's full grid, about 64 MB per array; lam = 32
+# on the default grid (dt = 0.01, n = 801) has 6401 x 801 = 5.1e6
+RATE_NODE_BUDGET = 8_000_000
 
 
 class CertificateUnavailableError(RuntimeError):
@@ -100,7 +116,7 @@ class RateOptions:
     dt: float = 0.01
     init: str = "rho_star"  # rho_star | half_rho_star | zeros
     init_values: np.ndarray | None = None  # explicit start, overrides init
-    max_iterations: int = 2000  # total inner fixed-point iterations
+    max_iterations: int = 2000  # fixed-point steps
     stationarity_tol: float = 1e-5
     feasibility_tol: float = 1e-6
     zeta_candidates: tuple = (0.05, 0.1, 0.2, 0.5, 1.0)
@@ -136,7 +152,7 @@ class RateReport:
     iterations: int
     upper_certificate: float
     converged: bool
-    # one (eta, log Z, KKT norm, inner iterations) per secant round
+    # one (eta, log Z, KKT norm, steps since the previous entry) per evaluation
     rounds: tuple = ()
 
     @property
@@ -243,7 +259,7 @@ class _AndersonMixer:
     g(u) - dG gamma into u, with gamma the least-squares fit of f by the
     last m residual differences dF in the inner product `inner`; dG are the
     matching differences of g.  The 2 (m + 1) arrays of the shape of u are
-    allocated once; `restart` forgets the history.
+    allocated once.
     """
 
     def __init__(self, shape: tuple, inner):
@@ -252,9 +268,6 @@ class _AndersonMixer:
         self._dg = np.empty((ANDERSON_DEPTH,) + shape)
         self._f = np.empty(shape)  # residual and map value of the last iterate
         self._g = np.empty(shape)
-        self.restart()
-
-    def restart(self) -> None:
         self._primed = False
         self._count = 0
         self._next = 0
@@ -287,12 +300,22 @@ class _AndersonMixer:
             u -= f
 
 
+def _kkt_holds(c_val: float, eta: float, snorm: float, opts: RateOptions) -> bool:
+    """Feasibility, complementarity and stationarity, each within its tolerance."""
+    complementary = abs(c_val) <= opts.feasibility_tol or eta <= opts.feasibility_tol
+    return c_val <= opts.feasibility_tol and complementary and snorm <= opts.stationarity_tol
+
+
 def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
     """KKT fixed-point estimate of the scaled rate value at depth lam."""
     opts = opts or RateOptions()
     if not 0.0 <= lam <= 32.0:
         raise ValueError(f"lam must lie in [0, 32] at desk scale, got {lam}")
     tgrid, full = _problem_grids(lam, opts)
+    nodes = (tgrid.n_steps + 1) * full.n_points
+    if nodes > RATE_NODE_BUDGET:
+        raise ValueError(f"{tgrid.n_steps + 1} x {full.n_points} = {nodes} space-time nodes "
+                         f"exceed the rate budget of {RATE_NODE_BUDGET}; raise dt or lower n_points")
     # the iterate lives on x >= 0 and stands for its even extension
     sgrid = HalfLine(full)
     target = _target_log(lam)
@@ -313,9 +336,6 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
 
     def inner(a, b):
         return float(dt * ((a * b) @ w_space).sum())
-
-    def unorm(v):
-        return float(np.sqrt(inner(v, v)))
 
     def log_and_gradient():
         log_zt, partials = log_terminal_and_gradient(current_rho())
@@ -340,37 +360,15 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
         u[:] = 0.0
 
     mult = 0.5 * cost_scale  # the KKT map is u = eta * mult * G(u)
-    log_zt, grad = log_and_gradient()
-    c_val = target - log_zt  # positive when infeasible
-    # self-scaled initial dual variable: least-squares match of u to its map
-    gg = inner(grad, grad)
-    ug = inner(u, grad)
-    eta = max(ug / (mult * gg), 1e-6) if gg > 0 else 1.0
-
     mixer = _AndersonMixer(u.shape, inner)
     it = 0
-    snorm = np.inf
     rounds = []
-    inner_tol = 1e-3  # tightened every dual round so secant pairs stay consistent
-    for outer in range(MAX_OUTER):
-        mixer.restart()
-        it_start = it
-        while it < opts.max_iterations:
-            it += 1
-            # the gradient's storage becomes du, then the damped residual
-            grad *= eta * mult
-            grad -= u
-            rel = unorm(grad) / max(unorm(u), 1e-30)
-            grad *= DAMPING
-            mixer.mix(u, grad)
-            del grad  # free it before the next sweep allocates its own
-            np.maximum(u, 0.0, out=u)
-            log_zt, grad = log_and_gradient()
-            c_val = target - log_zt
-            if rel <= inner_tol:
-                break
-        # KKT residual at the current dual variable: pg = u - max(u - g, 0)
-        # for g = (u - eta mult grad) / mult, built in one array
+    while True:
+        log_zt, grad = log_and_gradient()
+        c_val = target - log_zt  # positive when infeasible
+        # the dual variable whose damped step meets the linearized constraint
+        eta = max((inner(u, grad) + c_val / DAMPING) / (mult * inner(grad, grad)), 0.0)
+        # KKT residual pg = u - max(u - g, 0) for g = (u - eta mult grad) / mult
         pg = grad * -(eta * mult)
         pg += u
         pg /= mult
@@ -379,28 +377,24 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
         np.subtract(u, pg, out=pg)
         snorm = float(np.sqrt(inner(pg, pg) / cost_scale))
         del pg
-        rounds.append((float(eta), float(log_zt), snorm, it - it_start))
-        complementary = abs(c_val) <= opts.feasibility_tol or eta <= opts.feasibility_tol
-        if c_val <= opts.feasibility_tol and complementary and snorm <= opts.stationarity_tol:
+        rounds.append((float(eta), float(log_zt), snorm, 1 if rounds else 0))
+        if _kkt_holds(c_val, eta, snorm, opts) or it >= opts.max_iterations:
             break
-        if it >= opts.max_iterations:
-            break
-        inner_tol = max(0.3 * inner_tol, 1e-9)
-        # secant on the monotone map eta -> log Z(fixed point of eta)
-        if len(rounds) >= 2 and rounds[-1][1] != rounds[-2][1] and rounds[-1][0] != rounds[-2][0]:
-            (e0, l0, _, _), (e1, l1, _, _) = rounds[-2], rounds[-1]
-            proposal = e1 + (target - l1) * (e1 - e0) / (l1 - l0)
-            eta = float(np.clip(proposal, 0.2 * eta, 5.0 * eta))
-        else:
-            eta = eta * (1.25 if c_val > 0 else 0.8)
+        it += 1
+        # the gradient's storage becomes the damped residual of the KKT map
+        grad *= eta * mult
+        grad -= u
+        grad *= DAMPING
+        mixer.mix(u, grad)
+        del grad  # free it before the next sweep allocates its own
+        np.maximum(u, 0.0, out=u)
 
     # the mirror on the full grid; its full-line march checks feasibility
     # independently of the half-line sweeps
     rho_hat = SpaceTimeDeviation(tgrid, full, sgrid.unfold(current_rho().values))
     log_zt = log_z_terminal(rho_hat)
     c_val = target - log_zt
-    complementary = abs(c_val) <= opts.feasibility_tol or eta <= opts.feasibility_tol
-    converged = (c_val <= opts.feasibility_tol) and complementary and (snorm <= opts.stationarity_tol)
+    converged = _kkt_holds(c_val, eta, snorm, opts)
     cost = inner(u, u) / cost_scale
     phi_hat = (lam**1.5) * cost if lam > 0 else cost
     if opts.compute_certificate:

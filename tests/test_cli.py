@@ -166,6 +166,8 @@ def test_config_bad_value_is_usage_error(tmp_path, capsys, subcommand, field):
     # dx = 20 cannot resolve sech^2; this once reported a "converged" phi_hat of 63.90
     (["rate", "--lambda", "4", "--n-points", "3"], "too coarse to resolve sech^2"),
     (["tail-law", "--lambdas", "4", "--n-points", "41"], "too coarse to resolve sech^2"),
+    # 2e7 time steps on 801 nodes
+    (["rate", "--lambda", "1", "--dt", "1e-7"], "dt must exceed the delta warm-up time"),
 ])
 def test_bad_rate_options_are_usage_errors(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as err:
@@ -184,6 +186,17 @@ def test_bad_rate_options_are_usage_errors(tmp_path, capsys, argv, message):
 def test_step_that_does_not_divide_its_span_is_an_error(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert "does not divide" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--lambda", "32", "--dt", "0.002"],  # 32001 x 801 nodes
+    ["rate", "--lambda", "1", "--n-points", "40001"],  # 201 x 40001 nodes
+    ["tail-law", "--lambdas", "4,8", "--n-points", "20001"],  # 801 x 20001 nodes at lam = 4
+])
+def test_rate_work_over_budget_is_an_error(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "exceed the rate budget" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

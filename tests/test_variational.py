@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from kpztail.spectral import rho_star
 from kpztail.testing import rng_from_seed
 from kpztail.variational import (
     CertificateUnavailableError,
+    RATE_NODE_BUDGET,
     _AndersonMixer,
     RateOptions,
     RateReport,
@@ -267,8 +269,8 @@ def test_anderson_mixer_beats_damping_on_linear_contraction():
 
 @pytest.mark.parametrize("init, phi_ref, max_iters", [
     # the damped map's values, after 48 and 65 iterations
-    ("rho_star", 5.698643885543763, 30),
-    ("half_rho_star", 5.698640944220253, 40),
+    ("rho_star", 5.698643885543763, 10),
+    ("half_rho_star", 5.698640944220253, 10),
 ])
 def test_quick_rate_lam4_anderson(init, phi_ref, max_iters):
     opts = replace(QUICK, init=init, max_iterations=400)
@@ -276,7 +278,8 @@ def test_quick_rate_lam4_anderson(init, phi_ref, max_iters):
     assert rep.converged
     assert rep.phi_hat == pytest.approx(phi_ref, rel=1e-5)
     assert rep.iterations <= max_iters
-    # one (eta, log Z, KKT norm, inner iterations) per secant round
+    # one (eta, log Z, KKT norm, steps since the previous entry) per evaluation
+    assert len(rep.rounds) == rep.iterations + 1
     assert sum(r[3] for r in rep.rounds) == rep.iterations
     assert rep.rounds[-1][2] <= opts.stationarity_tol
     assert all(r[0] > 0 for r in rep.rounds)
@@ -301,3 +304,18 @@ def test_quick_grid_rate_from_each_start(lam, init):
     rep = rate_phi(lam, replace(QUICK, init=init, max_iterations=400))
     assert rep.converged
     assert rep.phi_hat == pytest.approx(QUICK_GRID_PHI[lam, init], rel=1e-6)
+    assert rep.iterations <= 12
+
+
+def test_rate_node_budget_is_checked_before_allocation():
+    # lam = 32 at dt = 0.002 asks for 32001 x 801 nodes, 205 MB per array
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceed the rate budget"):
+            rate_phi(32.0, RateOptions(dt=0.002))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # lam = 32 on the default grid, 6401 x 801 nodes, fits
+    assert (int(round(64.0 / RateOptions().dt)) + 1) * RateOptions().n_points <= RATE_NODE_BUDGET
