@@ -3,7 +3,9 @@
 
 Runs the constrained optimizer at each requested depth from both standard
 initializations and prints the certificate sandwich; `kpztail tail-law`
-writes the table as CSV.  Expect a few minutes per depth at the default grids.
+writes the table as CSV.  At the default grid (n = 801, dt = 0.01) both runs
+together take about 0.4 s of CPU at lam = 2 and 10 s at lam = 32, where the
+process peaks near 390 MB (2-vCPU Xeon VM).
 """
 
 import argparse

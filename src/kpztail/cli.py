@@ -32,7 +32,7 @@ from .grids import (
     standard_grid,
 )
 from .testing import random_smooth_potential, rng_from_seed
-from .variational import RateOptions, minimizer_distance, rate_phi
+from .variational import RateOptions, check_node_budget, minimizer_distance, rate_phi
 
 
 def _default_out() -> str:
@@ -188,6 +188,8 @@ def _cmd_tail_law(args) -> int:
         print("error: --lambdas entries must lie in [4, 16]", file=sys.stderr)
         return 2
     opts = _rate_options(args)
+    for lam in lams:  # refuse an over-budget depth before solving any
+        check_node_budget(lam, opts)
     rows = []
     ratios = []
     all_converged = True

@@ -169,6 +169,15 @@ def _problem_grids(lam: float, opts: RateOptions):
     return tgrid, sgrid
 
 
+def check_node_budget(lam: float, opts: RateOptions) -> None:
+    """Raise ValueError if a solve at depth lam holds more than RATE_NODE_BUDGET nodes."""
+    tgrid, sgrid = _problem_grids(lam, opts)
+    nodes = (tgrid.n_steps + 1) * sgrid.n_points
+    if nodes > RATE_NODE_BUDGET:
+        raise ValueError(f"{tgrid.n_steps + 1} x {sgrid.n_points} = {nodes} space-time nodes "
+                         f"exceed the rate budget of {RATE_NODE_BUDGET}; raise dt or lower n_points")
+
+
 def _target_log(lam: float) -> float:
     if lam == 0.0:
         return float(np.log(heat_kernel(2.0, 0.0)))
@@ -311,11 +320,8 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
     opts = opts or RateOptions()
     if not 0.0 <= lam <= 32.0:
         raise ValueError(f"lam must lie in [0, 32] at desk scale, got {lam}")
+    check_node_budget(lam, opts)
     tgrid, full = _problem_grids(lam, opts)
-    nodes = (tgrid.n_steps + 1) * full.n_points
-    if nodes > RATE_NODE_BUDGET:
-        raise ValueError(f"{tgrid.n_steps + 1} x {full.n_points} = {nodes} space-time nodes "
-                         f"exceed the rate budget of {RATE_NODE_BUDGET}; raise dt or lower n_points")
     # the iterate lives on x >= 0 and stands for its even extension
     sgrid = HalfLine(full)
     target = _target_log(lam)
@@ -368,13 +374,11 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
         c_val = target - log_zt  # positive when infeasible
         # the dual variable whose damped step meets the linearized constraint
         eta = max((inner(u, grad) + c_val / DAMPING) / (mult * inner(grad, grad)), 0.0)
-        # KKT residual pg = u - max(u - g, 0) for g = (u - eta mult grad) / mult
+        # projected KKT gradient u - max(u - g, 0) = min(u, g), g = (u - eta mult grad) / mult
         pg = grad * -(eta * mult)
         pg += u
         pg /= mult
-        np.subtract(u, pg, out=pg)
-        np.maximum(pg, 0.0, out=pg)
-        np.subtract(u, pg, out=pg)
+        np.minimum(pg, u, out=pg)
         snorm = float(np.sqrt(inner(pg, pg) / cost_scale))
         del pg
         rounds.append((float(eta), float(log_zt), snorm, 1 if rounds else 0))

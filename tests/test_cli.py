@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from kpztail import cli
 from kpztail.cli import main
 
 
@@ -192,9 +193,12 @@ def test_step_that_does_not_divide_its_span_is_an_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["rate", "--lambda", "32", "--dt", "0.002"],  # 32001 x 801 nodes
     ["rate", "--lambda", "1", "--n-points", "40001"],  # 201 x 40001 nodes
-    ["tail-law", "--lambdas", "4,8", "--n-points", "20001"],  # 801 x 20001 nodes at lam = 4
+    # lam = 4 fits (801 x 4001 nodes), lam = 16 does not (3201 x 4001)
+    ["tail-law", "--lambdas", "4,16", "--n-points", "4001"],
 ])
-def test_rate_work_over_budget_is_an_error(tmp_path, capsys, argv):
+def test_rate_work_over_budget_is_an_error(tmp_path, capsys, monkeypatch, argv):
+    if argv[0] == "tail-law":  # every depth is checked before any is solved
+        monkeypatch.setattr(cli, "rate_phi", lambda *a: pytest.fail("solved before the check"))
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert "exceed the rate budget" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
