@@ -11,46 +11,40 @@ single scalar, so the KKT system is the fixed-point equation
     rho = eta * lam * G(rho),      G = d log Z(T, 0) / d rho,
 
 with one dual variable eta >= 0 that vanishes unless the constraint is
-active.  The solver runs one loop.  At each iterate u it evaluates log Z
-and G (one forward march and one adjoint gradient sweep) and sets the dual
-variable from the linearized constraint: the damped step
-u' = u + DAMPING (eta lam G - u) changes log Z by <G, u' - u> to first
-order, and asking that change to close the gap to the target gives
+active.  The solver runs one loop.  At each iterate u it evaluates log Z and
+G (one forward march, one adjoint sweep) and sets eta so that the damped
+step u' = u + DAMPING (eta lam G - u) closes the gap to the target in the
+linearized constraint log Z + <G, u' - u>:
 
     eta = max((<u, G> + (target - log Z) / DAMPING) / (lam <G, G>), 0),
 
-the multiplier of a sequential-quadratic-programming step for a single
-constraint (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 18).  A
-fixed point u = eta lam G with this eta is feasible, and eta = 0 leaves
-u -> (1 - DAMPING) u where the constraint is slack.  The loop stops when
-(u, eta) passes the three KKT tests: feasibility and complementarity within
-the feasibility tolerance, and a scaled KKT gradient norm below the
-stationarity tolerance.  Otherwise it takes one step of Anderson mixing of
-depth ANDERSON_DEPTH (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) on the
-damped map u -> u + DAMPING (eta lam G(u) - u), projects onto the cone
-rho >= 0 and evaluates again.  The mixing history runs through the whole
-solve.  `RateReport.rounds` keeps one (eta, log Z, KKT norm, steps since
-the previous entry) per evaluation.  ANDERSON_DEPTH and DAMPING have one
-value in every caller, so they are not options.
+the single-constraint SQP multiplier (Nocedal & Wright, Numerical
+Optimization, 2nd ed., ch. 18); a fixed point with eta > 0 is feasible with
+the constraint active.  The loop stops when (u, eta) passes the KKT tests
+(feasibility and complementarity within the feasibility tolerance, the
+scaled projected gradient norm within the stationarity tolerance);
+otherwise it takes one step of Anderson mixing of depth ANDERSON_DEPTH
+(Walker & Ni, SIAM J. Numer. Anal. 49, 2011), never restarted, on the
+damped map and projects onto rho >= 0.  `RateReport.rounds` keeps one
+(eta, log Z, KKT norm, steps since the previous entry) per evaluation.
+ANDERSON_DEPTH and DAMPING have one value in every caller, so they are not
+options.
 
-An earlier design ran a secant on eta around the mixing, restarting the
-history at every new eta and driving u to the fixed point of each trial
-eta.  Iterations on the quick grid (n = 401, dt = 0.02) from rho_star /
-half_rho_star / zeros, secant rounds against the one loop:
+Iterations on the quick grid (n = 401, dt = 0.02) from rho_star /
+half_rho_star / zeros, against the earlier secant rounds on eta that
+restarted the mixing at every trial eta:
 
     lam = 1:   20 / 15 /  72  ->  6 / 6 / 5
     lam = 4:   21 / 29 / 100  ->  6 / 6 / 7
     lam = 8:   32 / 42 / 130  ->  7 / 7 / 8
     lam = 16:  45 / 49 / 126  ->  7 / 7 / 9
 
-with phi_hat within 5.5e-7 relative of the secant rounds' (their starts
-differ from each other by up to 7.4e-7).  The mixing works on nt x n
-arrays: its inner products are the weighted `(a * b) @ w` sums of `inner`,
-never BLAS level-1 calls on the flattened arrays (`np.vdot` there made
-OpenBLAS's threads spin and nearly doubled the CPU time), and its 2 (m + 1)
-history arrays are allocated once per solve.  A solve whose full grid has
-more than RATE_NODE_BUDGET space-time nodes is refused before any array is
-allocated.
+with phi_hat within 5.5e-7 relative of theirs.  The mixing's inner products
+are the weighted `(a * b) @ w` sums of `inner`, never BLAS level-1 calls on
+flattened arrays (`np.vdot` there made OpenBLAS's threads spin and nearly
+doubled the CPU time), and its 2 (m + 1) history arrays are allocated once
+per solve.  A solve of more than RATE_NODE_BUDGET full-grid space-time
+nodes is refused before any array is allocated.
 
 The iterate lives on the half line x >= 0 (`grids.HalfLine`).  Steiner
 symmetrization keeps ||rho|| and does not lower Z(T, 0) (criterion 5 checks
@@ -62,9 +56,7 @@ extension, so `inner` and the weights that turn node partials into
 the functional gradient keep their full-line formulas.  A start given as
 `init_values` is first projected onto even functions, (v + v reversed)/2.
 The returned minimizer is the iterate's exact mirror on the full grid, and
-its feasibility is checked again by a full-line march.  On the half line a
-gradient step costs 34 us at n = 401 (201 nodes) against 50 us on the full
-line (2-vCPU Xeon VM).
+its feasibility is checked again by a full-line march.
 
 The estimate phi_hat = lam^(3/2) (1/(2 lam)) ||rho_hat||^2 is an upper bound
 on the true rate value certified feasible; the time-constant candidate
@@ -367,9 +359,8 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
 
     mult = 0.5 * cost_scale  # the KKT map is u = eta * mult * G(u)
     mixer = _AndersonMixer(u.shape, inner)
-    it = 0
     rounds = []
-    while True:
+    for it in range(opts.max_iterations + 1):
         log_zt, grad = log_and_gradient()
         c_val = target - log_zt  # positive when infeasible
         # the dual variable whose damped step meets the linearized constraint
@@ -382,9 +373,8 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
         snorm = float(np.sqrt(inner(pg, pg) / cost_scale))
         del pg
         rounds.append((float(eta), float(log_zt), snorm, 1 if rounds else 0))
-        if _kkt_holds(c_val, eta, snorm, opts) or it >= opts.max_iterations:
+        if _kkt_holds(c_val, eta, snorm, opts) or it == opts.max_iterations:
             break
-        it += 1
         # the gradient's storage becomes the damped residual of the KKT map
         grad *= eta * mult
         grad -= u
