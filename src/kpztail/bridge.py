@@ -26,6 +26,19 @@ which removes the systematic late-detection bias of naive sign checks.
 The limit shape h_star(t, x) equals -|x| + t/2 inside the cone |x| <= t and
 -x^2/(2t) outside; shape_profile measures the gap between the deterministic
 tilted-height field and h_star over a window [delta, 2] x [-1/delta, 1/delta].
+The pde backend's problem is even in x (a time-constant sech^2 potential and a
+delta at x = 0), so it is marched on the half line x >= 0 (`grids.HalfLine`,
+the solver's reflecting centre row) and a column x < 0 reads its mirror node.
+This is exact, not an approximation: a full-line CN step maps even vectors to
+even vectors, and on them it is the reflected step, so the two marches differ
+only in the order of the elimination's round-off (at most 1e-14 in h on the
+grids of the tests).  The half line has (n + 1)/2 of the n nodes, and the
+profile is exactly even in x.
+
+Work is capped before it starts: a Monte Carlo call of more than
+BRIDGE_PATH_STEP_BUDGET path-steps (`BridgeConfig.steps_for`) and a
+limit-shape march of more than SHAPE_NODE_BUDGET half-line space-time nodes
+raise ValueError.
 """
 
 from __future__ import annotations
@@ -34,9 +47,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grids import (
+    HalfLine,
     Potential,
     SpaceGrid,
     SpaceTimeDeviation,
@@ -49,6 +62,12 @@ from .solver import DELTA_WARMUP, solve_delta_scaled
 _BLOCK_STRIDE = 2**40  # Philox counter offset between path blocks
 SHAPE_T_STEP = 0.05  # limit-shape profile spacing in scaled time, in whole grid steps
 SHAPE_X_STEP = 0.05  # and in scaled position, likewise
+# path-steps (paths x time steps) of one Monte Carlo call; the full criterion 8
+# run has 12M x 640 = 7.7e9, about 4 minutes at 3e7 path-steps/s
+BRIDGE_PATH_STEP_BUDGET = 10**10
+# half-line space-time nodes of one limit-shape march; lam = 32 at dx = 0.05,
+# dt = 0.01 has 2881 x 6401 = 1.8e7
+SHAPE_NODE_BUDGET = 10**8
 
 
 class ConfigurationError(RuntimeError):
@@ -71,12 +90,18 @@ class BridgeConfig:
             raise ValueError("block_size must be >= 1")
 
     def steps_for(self, duration: float) -> int:
-        """Time steps over `duration`; raises ValueError unless it is positive and finite."""
+        """Time steps over `duration`; raises ValueError unless it is positive and
+        finite and n_paths x steps is at most BRIDGE_PATH_STEP_BUDGET."""
         if not 0 < duration < math.inf:
             raise ValueError(f"duration must be positive and finite, got {duration}")
-        if self.n_time_steps:
-            return self.n_time_steps
-        return max(2, int(math.ceil(20.0 * duration)))
+        # capped just past the budget, so that a huge duration still converts
+        steps = self.n_time_steps or max(
+            2, math.ceil(min(20.0 * duration, BRIDGE_PATH_STEP_BUDGET + 1.0)))
+        if self.n_paths * steps > BRIDGE_PATH_STEP_BUDGET:
+            raise ValueError(f"{self.n_paths} paths over duration {duration:g} take more than "
+                             f"the bridge budget of {BRIDGE_PATH_STEP_BUDGET:.3g} path-steps; "
+                             "lower the paths or the duration")
+        return steps
 
 
 def _block_rng(cfg: BridgeConfig, block_index: int) -> np.random.Generator:
@@ -410,6 +435,8 @@ def hitting_mgf_quadrature(beta: float, t: float, x: float, lam: float) -> float
     with the substitution s = 1 - u^2 taming the endpoint and a max shift
     taming the exponential.
     """
+    from scipy.integrate import quad  # imported here: no other path of the CLI needs it
+
     x = abs(x)
     if x == 0.0:
         return 0.0
@@ -516,24 +543,29 @@ def _shape_profile_pde(lam: float, delta: float, opts: ShapeOptions) -> ShapePro
         raise ConfigurationError(
             f"half_width {half_width} too small for lam={lam}, delta={delta}; need >= {need:.1f}"
         )
-    n_half = int(math.ceil(half_width / opts.dx))
-    sgrid = SpaceGrid(n_half * opts.dx, 2 * n_half + 1)
     tgrid = standard_time_grid(opts.dt, 2.0 * lam)
-    x = sgrid.x
-    rho = SpaceTimeDeviation.time_constant(tgrid, Potential(sgrid, 1.0 / np.cosh(x) ** 2))
+    # half-line nodes x time nodes, in floating point so that no count overflows
+    nodes = (half_width / opts.dx + 1.0) * (tgrid.n_steps + 1)
+    if not nodes <= SHAPE_NODE_BUDGET:
+        raise ValueError(f"{nodes:.3g} half-line space-time nodes exceed the limit-shape budget "
+                         f"of {SHAPE_NODE_BUDGET:.3g}; raise dx or dt, or lower lam")
+    n_half = int(math.ceil(half_width / opts.dx))
+    half = HalfLine(SpaceGrid(n_half * opts.dx, 2 * n_half + 1))
+    rho = SpaceTimeDeviation.time_constant(tgrid, Potential(half, 1.0 / np.cosh(half.x) ** 2))
 
     stride_t = max(1, int(round(SHAPE_T_STEP * lam / tgrid.dt)))
     k_lo = int(math.ceil(lam * delta / tgrid.dt - 1e-9))
     k_hi = tgrid.n_steps
     k_idx = np.arange(k_lo, k_hi + 1, stride_t)
     sol = solve_delta_scaled(rho, keep=k_idx)
-    stride_x = max(1, int(round(SHAPE_X_STEP * lam / sgrid.dx)))
-    i0 = sgrid.center_index
-    reach = int(math.floor((lam / delta) / (stride_x * sgrid.dx)))
-    i_idx = i0 + stride_x * np.arange(-reach, reach + 1)
+    stride_x = max(1, int(round(SHAPE_X_STEP * lam / half.dx)))
+    reach = int(math.floor((lam / delta) / (stride_x * half.dx)))
+    offsets = stride_x * np.arange(-reach, reach + 1)
+    # node |i - i0| of the half line holds the column of x_i and of -x_i
+    i_idx = np.abs(offsets)
 
     t_vals = tgrid.times[k_idx] / lam
-    x_vals = x[i_idx] / lam
+    x_vals = half.full.x[half.full.center_index + offsets] / lam
     log_rows = np.log(sol.rows[:, i_idx]) + sol.log_scale[:, None]
     h = (0.5 * math.log(lam) + log_rows) / lam
     hs = np.array([[h_star(t, xv) for xv in x_vals] for t in t_vals])

@@ -184,8 +184,8 @@ def _cmd_rate(args) -> int:
 
 def _cmd_tail_law(args) -> int:
     lams = sorted(args.lambdas)
-    if any(not 4 <= v <= 16 for v in lams):
-        print("error: --lambdas entries must lie in [4, 16]", file=sys.stderr)
+    if any(not 0 < v <= 32 for v in lams):  # rate_phi's depths, without lam = 0
+        print("error: --lambdas entries must lie in (0, 32]", file=sys.stderr)
         return 2
     opts = _rate_options(args)
     for lam in lams:  # refuse an over-budget depth before solving any

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import bridge, rearrange, spectral, variational
 from .grids import (
@@ -461,6 +460,8 @@ def check_limit_shape(profile: Profile) -> CheckResult:
 # --- criterion 8: bridge machinery ---------------------------------------------
 
 def check_bridge(profile: Profile) -> CheckResult:
+    from scipy.integrate import quad  # imported here, as bridge does: the CLI needs it only now
+
     failures = []
     rows = []
     lam = profile.growth_lambda

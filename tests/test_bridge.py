@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,15 @@ from kpztail.bridge import (
     sample_bridge,
     shape_profile,
 )
-from kpztail.grids import Potential, SpaceGrid, SpaceTimeDeviation, TimeGrid, heat_kernel
-from kpztail.solver import solve_delta
+from kpztail.grids import (
+    Potential,
+    SpaceGrid,
+    SpaceTimeDeviation,
+    TimeGrid,
+    heat_kernel,
+    standard_time_grid,
+)
+from kpztail.solver import solve_delta, solve_delta_scaled
 from kpztail.spectral import rho_star
 from kpztail.testing import rng_from_seed
 
@@ -230,6 +238,61 @@ def test_shape_profile_pde_coarse():
     assert csv.splitlines()[0] == "t,x,h_lambda,h_star,abs_err"
 
 
+def _full_line_shape_h(lam, delta, opts):
+    """h of shape_profile's problem marched on the whole line [-L, L]."""
+    n_half = int(math.ceil(bridge._required_half_width(lam, delta) / opts.dx))
+    sgrid = SpaceGrid(n_half * opts.dx, 2 * n_half + 1)
+    tgrid = standard_time_grid(opts.dt, 2.0 * lam)
+    rho = SpaceTimeDeviation.time_constant(tgrid, Potential(sgrid, 1.0 / np.cosh(sgrid.x) ** 2))
+    stride_t = max(1, int(round(bridge.SHAPE_T_STEP * lam / tgrid.dt)))
+    k_lo = int(math.ceil(lam * delta / tgrid.dt - 1e-9))
+    sol = solve_delta_scaled(rho, keep=np.arange(k_lo, tgrid.n_steps + 1, stride_t))
+    stride_x = max(1, int(round(bridge.SHAPE_X_STEP * lam / sgrid.dx)))
+    reach = int(math.floor((lam / delta) / (stride_x * sgrid.dx)))
+    i_idx = sgrid.center_index + stride_x * np.arange(-reach, reach + 1)
+    log_rows = np.log(sol.rows[:, i_idx]) + sol.log_scale[:, None]
+    return (0.5 * math.log(lam) + log_rows) / lam
+
+
+@pytest.mark.parametrize("lam", [8.0, 16.0])
+def test_shape_profile_pde_is_even_and_matches_the_full_line(lam):
+    # the half-line march gives each column x < 0 the values of its mirror -x
+    opts = ShapeOptions(dx=0.1, dt=0.02)
+    prof = shape_profile(lam, 0.5, "pde", opts)
+    assert np.array_equal(prof.x_values, -prof.x_values[::-1])
+    assert np.array_equal(prof.h_values, prof.h_values[:, ::-1])
+    full = _full_line_shape_h(lam, 0.5, opts)
+    assert full.shape == prof.h_values.shape
+    assert np.max(np.abs(prof.h_values - full)) <= 1e-13
+
+
+def test_shape_node_budget_is_checked_before_allocation():
+    # lam = 1000 at dx = 0.05, dt = 0.01: 48945 x 200001 = 9.8e9 half-line nodes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceed the limit-shape budget"):
+            shape_profile(1000.0, 0.5, "pde")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # lam = 32 at the same steps, 2881 x 6401 nodes, fits
+    assert 2881 * 6401 <= bridge.SHAPE_NODE_BUDGET
+    with pytest.raises(ValueError, match="exceed the limit-shape budget"):
+        shape_profile(8.0, 0.5, "pde", ShapeOptions(half_width=1e308))
+
+
+def test_bridge_path_step_budget():
+    # the full criterion 8 growth run: 12M paths x 640 steps = 7.7e9 path-steps
+    assert BridgeConfig(n_paths=12_000_000, n_time_steps=640).steps_for(64.0) == 640
+    assert BridgeConfig(n_paths=1).steps_for(1e-9) == 2
+    for cfg, duration in ((BridgeConfig(), 1e9), (BridgeConfig(n_paths=1), 1e300),
+                          (BridgeConfig(n_paths=10**9, n_time_steps=11), 1.0)):
+        with pytest.raises(ValueError, match="path-steps"):
+            cfg.steps_for(duration)
+    assert BridgeConfig(n_paths=10**9, n_time_steps=10).steps_for(1.0) == 10
+
+
 def test_bridge_config_rejects_bad_sizes():
     for bad in ({"n_paths": 0}, {"n_time_steps": 1}, {"block_size": 0}, {"block_size": -5}):
         with pytest.raises(ValueError):
@@ -327,11 +390,11 @@ def test_shape_profile_mc_pinned(monkeypatch):
 
 
 def test_shape_profile_pde_pinned():
-    # the CSV body of the forward march, as written before it kept only the read rows
+    # the CSV body of the half-line march
     prof = shape_profile(8.0, 0.5, "pde", ShapeOptions(dx=0.1, dt=0.02))
     body = prof.to_csv().encode()
     assert hashlib.sha256(body).hexdigest() == (
-        "fb0b22a25bbe6035971eb4d817dd950479563b63c25ad75165696e1b1626fb39")
+        "ae08281d484cb53e79b1e62bdcb7f6150321026559d9e7647c6b3aa88a0fa107")
 
 
 def test_potential_on_path_matches_reference(phi20):

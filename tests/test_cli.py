@@ -204,6 +204,49 @@ def test_rate_work_over_budget_is_an_error(tmp_path, capsys, monkeypatch, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message, worker", [
+    # 48945 x 200001 = 9.8e9 half-line nodes
+    (["limit-shape", "--lambda", "1000", "--delta", "0.5"], "exceed the limit-shape budget",
+     "solve_delta_scaled"),
+    # 100000 paths x 2e10 steps
+    (["fk", "--duration", "1e9"], "bridge budget", "_bridge_steps"),
+])
+def test_shape_and_bridge_work_over_budget_is_an_error(tmp_path, capsys, monkeypatch, argv,
+                                                        message, worker):
+    monkeypatch.setattr(cli.bridge, worker, lambda *a, **k: pytest.fail("ran before the check"))
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tail_law_takes_every_rate_depth(tmp_path):
+    out = tmp_path / "tl"
+    # lam = 2 has a ratio below 1, so the bracket check fails: exit 1, files written
+    assert main(["tail-law", "--lambdas", "2,32", "--n-points", "81", "--dt", "0.05",
+                 "--out", str(out)]) == 1
+    rows = read(out / "tail_law.csv").splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["2", "32"]
+    assert all(r.endswith(",1") for r in rows[1:])  # both converged
+
+
+@pytest.mark.parametrize("lambdas", ["0,4", "4,32.5", "nan"])
+def test_tail_law_depth_outside_rate_range_is_an_error(tmp_path, capsys, lambdas):
+    assert main(["tail-law", "--lambdas", lambdas, "--out", str(tmp_path / "out")]) == 2
+    assert "--lambdas entries must lie in (0, 32]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # only the Laplace quadrature and criterion 8 need it, and import it themselves
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, kpztail.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["limit-shape", "--lambda", "8", "--delta", "0.5", "--dx", "0"], "dx must be positive"),
     (["limit-shape", "--lambda", "8", "--delta", "0.5", "--dt", "0.001"],
