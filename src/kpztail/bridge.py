@@ -435,7 +435,7 @@ def hitting_mgf_quadrature(beta: float, t: float, x: float, lam: float) -> float
     with the substitution s = 1 - u^2 taming the endpoint and a max shift
     taming the exponential.
     """
-    from scipy.integrate import quad  # imported here: no other path of the CLI needs it
+    from scipy.integrate import quad  # not at module level, so importing the CLI skips it
 
     x = abs(x)
     if x == 0.0:

@@ -460,7 +460,7 @@ def check_limit_shape(profile: Profile) -> CheckResult:
 # --- criterion 8: bridge machinery ---------------------------------------------
 
 def check_bridge(profile: Profile) -> CheckResult:
-    from scipy.integrate import quad  # imported here, as bridge does: the CLI needs it only now
+    from scipy.integrate import quad  # not at module level, so importing the CLI skips it
 
     failures = []
     rows = []

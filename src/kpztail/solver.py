@@ -91,10 +91,10 @@ Measured on a 2-vCPU Xeon VM:
   power-iteration step at n = 201 takes 9.8 us instead of 14.3 us;
 - one factorization per time-constant march: at n = 5761 a march step
   takes about 138 us against 218 us when each step rebuilds M for `dgtsv`,
-  and a limit-shape run at L = 32 peaks at 83 MB instead of 644 MB.  The
-  limit shape now marches the 2881 half-line nodes of that grid: 53 us per
-  step against 99 us for the 5761-node full line (process time, median of
-  5 marches of 6400 steps);
+  and a limit-shape run at L = 32 peaks at 83 MB instead of 644 MB.  On
+  the 2881 half-line nodes of that grid, which the limit shape marches, a
+  step takes 53 us against 99 us on the 5761-node full line (process time,
+  median of 5 marches of 6400 steps);
 - no factored span in `log_terminal_and_gradient`: it serves the rate
   optimizer, whose deviations vary in time, and takes each step once
   forward and once backward.  At n = 801 a cache of the forward march's
