@@ -31,14 +31,14 @@ delta at x = 0), so it is marched on the half line x >= 0 (`grids.HalfLine`,
 the solver's reflecting centre row) and a column x < 0 reads its mirror node.
 This is exact, not an approximation: a full-line CN step maps even vectors to
 even vectors, and on them it is the reflected step, so the two marches differ
-only in the order of the elimination's round-off (at most 1e-14 in h on the
+only in the order of the factorization's round-off (at most 1e-14 in h on the
 grids of the tests).  The half line has (n + 1)/2 of the n nodes, and the
 profile is exactly even in x.
 
 Work is capped before it starts: a Monte Carlo call of more than
-BRIDGE_PATH_STEP_BUDGET path-steps (`BridgeConfig.steps_for`) and a
-limit-shape march of more than SHAPE_NODE_BUDGET half-line space-time nodes
-raise ValueError.
+BRIDGE_PATH_STEP_BUDGET path-steps (`BridgeConfig.steps_for`), an mc-backend
+limit shape whose calls add up to more than that, and a limit-shape march of
+more than SHAPE_NODE_BUDGET half-line space-time nodes raise ValueError.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .grids import (
     Potential,
     SpaceGrid,
     SpaceTimeDeviation,
-    format_value,
     heat_kernel,
     standard_time_grid,
 )
@@ -457,14 +456,16 @@ def hitting_mgf_quadrature(beta: float, t: float, x: float, lam: float) -> float
 
 # --- the limit shape -----------------------------------------------------------
 
-def h_star(t: float, x: float) -> float:
-    """Limit shape: -|x| + t/2 inside |x| <= t, else -x^2/(2t)."""
-    if not t > 0:
+def h_star(t, x):
+    """Limit shape: -|x| + t/2 inside |x| <= t, else -x^2/(2t); a float for
+    scalar t and x, else the array they broadcast to."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):
         raise ValueError("h_star needs t > 0")
-    ax = abs(x)
-    if ax <= t:
-        return float(-ax + 0.5 * t)
-    return float(-(x * x) / (2.0 * t))
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    out = np.where(ax <= t, -ax + 0.5 * t, -(x * x) / (2.0 * t))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -504,12 +505,14 @@ class ShapeProfile:
         return float(np.max(np.abs(self.h_values - self.h_star_values)))
 
     def to_csv(self) -> str:
+        """One row per (t, x), each value as `format_value` writes it."""
+        err = np.abs(self.h_values - self.h_star_values)
+        x_text = [f"{x:.12g}" for x in self.x_values.tolist()]
         lines = ["t,x,h_lambda,h_star,abs_err"]
-        for i, t in enumerate(self.t_values):
-            for j, x in enumerate(self.x_values):
-                h = self.h_values[i, j]
-                hs = self.h_star_values[i, j]
-                lines.append(",".join(format_value(v) for v in (t, x, h, hs, abs(h - hs))))
+        for t, h_row, hs_row, err_row in zip(self.t_values.tolist(), self.h_values.tolist(),
+                                             self.h_star_values.tolist(), err.tolist()):
+            lines.extend(f"{t:.12g},{x},{h:.12g},{hs:.12g},{e:.12g}"
+                         for x, h, hs, e in zip(x_text, h_row, hs_row, err_row))
         return "\n".join(lines) + "\n"
 
 
@@ -568,8 +571,7 @@ def _shape_profile_pde(lam: float, delta: float, opts: ShapeOptions) -> ShapePro
     x_vals = half.full.x[half.full.center_index + offsets] / lam
     log_rows = np.log(sol.rows[:, i_idx]) + sol.log_scale[:, None]
     h = (0.5 * math.log(lam) + log_rows) / lam
-    hs = np.array([[h_star(t, xv) for xv in x_vals] for t in t_vals])
-    return ShapeProfile(lam, delta, "pde", t_vals, x_vals, h, hs)
+    return ShapeProfile(lam, delta, "pde", t_vals, x_vals, h, h_star(t_vals[:, None], x_vals))
 
 
 def _shape_profile_mc(lam: float, delta: float, opts: ShapeOptions) -> ShapeProfile:
@@ -577,6 +579,12 @@ def _shape_profile_mc(lam: float, delta: float, opts: ShapeOptions) -> ShapeProf
     phi = Potential(sgrid, 1.0 / np.cosh(sgrid.x) ** 2)
     t_vals = np.linspace(delta, 2.0, opts.mc_t_count)
     x_vals = np.linspace(-1.0 / delta, 1.0 / delta, opts.mc_x_count)
+    # one Monte Carlo call per point; the budget caps the calls together
+    steps = sum(BridgeConfig(n_paths=opts.mc_paths).steps_for(lam * t) for t in t_vals)
+    if opts.mc_paths * x_vals.size * steps > BRIDGE_PATH_STEP_BUDGET:
+        raise ValueError(f"{opts.mc_paths} paths at {t_vals.size} x {x_vals.size} points take "
+                         f"more than the bridge budget of {BRIDGE_PATH_STEP_BUDGET:.3g} "
+                         "path-steps; lower the paths or lam")
     h = np.empty((t_vals.size, x_vals.size))
     for i, t in enumerate(t_vals):
         duration = lam * t
@@ -587,7 +595,9 @@ def _shape_profile_mc(lam: float, delta: float, opts: ShapeOptions) -> ShapeProf
             for integ in _stream_weights(phi, duration, lam * xv, 0.0, cfg):
                 weights.add(integ)
             log_e = weights.log_mean
-            log_p = math.log(heat_kernel(duration, lam * xv))
+            # log of heat_kernel(duration, y) from its own exponent and
+            # normaliser: the kernel underflows to 0 once y^2 / (2 duration) > 745
+            y = lam * xv
+            log_p = -(y * y) / (2.0 * duration) - math.log(math.sqrt(2.0 * math.pi * duration))
             h[i, j] = (0.5 * math.log(lam) + log_e + log_p) / lam
-    hs = np.array([[h_star(t, xv) for xv in x_vals] for t in t_vals])
-    return ShapeProfile(lam, delta, "mc", t_vals, x_vals, h, hs)
+    return ShapeProfile(lam, delta, "mc", t_vals, x_vals, h, h_star(t_vals[:, None], x_vals))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bridge, rearrange, selftest, spectral
+from . import __version__, bridge, rearrange, selftest, solver, spectral
 from .grids import (
     Potential,
     SpaceGrid,
@@ -289,8 +289,7 @@ def _cmd_figure1(args) -> int:
     xs = 0.01 * (np.arange(601) - 300)  # exact zero at the center node
     header = "x," + ",".join(f"h_star_t{format_value(t)}" for t in ts)
     lines = [header]
-    for x in xs:
-        vals = [bridge.h_star(t, float(x)) for t in ts]
+    for x, vals in zip(xs, bridge.h_star(np.array(ts), xs[:, None])):
         lines.append(",".join([format_value(float(x))] + [format_value(v) for v in vals]))
     _write_artifacts(Path(args.out), "figure1", _args_config(args),
                      {"figure1.csv": "\n".join(lines) + "\n"})
@@ -471,7 +470,7 @@ def main(argv=None) -> int:
         args.out = _default_out()
     try:
         return args.fn(args)
-    except (ValueError, bridge.ConfigurationError) as exc:
+    except (ValueError, bridge.ConfigurationError, solver.SolverInstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

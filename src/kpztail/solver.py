@@ -23,22 +23,31 @@ non-finite values or negatives beyond a noise threshold, and the surviving
 sub-noise negatives are floored to a tiny positive constant so delta-data
 solutions are strictly positive by contract.
 
-The kernel is one LAPACK `dgtsv` call per step: tridiagonal Gaussian
-elimination with partial pivoting, the routine `solve_banded` itself uses
-for one sub- and one super-diagonal.  It is called directly because
-`solve_banded`'s argument validation costs several times the solve itself
-at n = 401.  The call does not check its input for non-finite values, so every
-sweep checks its result.
+Every step solves M x = b in the symmetric form (W M) x = W b, with
+W = diag(1/2, 1, ..., 1) on a HalfLine (see below) and W = I on the full
+line.  This is exact up to round-off: the wall rows of M are identity rows,
+so the couplings of their neighbours to them, which W M drops, multiply
+entries pinned to 0, and halving the centre row is exact.  W M is positive
+definite exactly when h lambda_max(D/2 + rho_mid) < 2.  That is also the
+CN step's own limit: past it a step multiplies the top mode by
+(1 + h lambda/2)/(1 - h lambda/2), a negative factor of size above 1.  A
+step whose W M is not positive definite raises np.linalg.LinAlgError (a
+ValueError) that names h and asks for a lower dt.
 
-A step matrix M that is used more than once is factored once, in a
-factored span (`_FactoredSpan`): one `dgttrf` per interval, after which a
-step, forward or transposed, is `_apply_n` and one `dgttrs` (the transposed
-step solves with the same M).  dgttrf runs dgtsv's elimination with the
-same pivot test, so the results are bitwise those of `dgtsv`.  Two callers
-build one:
+The kernel is LAPACK's positive definite tridiagonal solver, LDL^T without
+pivots: one `dptsv` call per step, called directly because
+`solve_banded`'s argument validation costs several times the solve itself
+at n = 401.  The call does not check its input for non-finite values, so
+every sweep checks its result.
+
+A step matrix that is used more than once is factored once, in a factored
+span (`_FactoredSpan`): one `dpttrf` per interval, after which a step,
+forward or transposed, is `_apply_n` and one `dpttrs`.  dptsv is dpttrf
+followed by dpttrs, so the results are bitwise those of `dptsv`.  Two
+callers build one:
 - `operator_norm` factors every interval of its span once per call and
   reuses the factors in all 2 iters sweeps.  The span holds about
-  (kt - ks) n 44 bytes: 0.9 MB for 100 steps at n = 201, 28 MB for 800
+  (kt - ks) n 24 bytes: 0.5 MB for 100 steps at n = 201, 15 MB for 800
   steps at n = 801;
 - a time-constant deviation (`SpaceTimeDeviation.time_constant`, rows held
   as one stride-0 view) has the same M on every interval, so its delta
@@ -47,13 +56,13 @@ build one:
 The march stores only the time nodes its caller keeps.
 
 Elsewhere a time-varying deviation's steps are each taken once per sweep.
-Their diagonals 1 -+ (h/2)(kin_diag + rho_mid) are built CHUNK intervals at
-a time in whole-array operations (`_IntervalBands`), for sweeps in either
-direction, and the off-diagonals once per sweep; the step loop runs only
-the explicit half-step, one `dgtsv` and the checks.  Each entry goes
-through the same elementwise operations as in a one-interval build, so the
-results are bitwise those of `step`, and a chunk holds 2 CHUNK n values
-whatever the number of steps.  The gradient's backward sweep assembles its node
+Their diagonals, of N and of W M, are built CHUNK intervals at a time in
+whole-array operations (`_IntervalBands`), for sweeps in either direction,
+and the off-diagonal once per sweep; the step loop runs only the explicit
+half-step, one `dptsv` and the checks.  Each entry goes through the same
+elementwise operations as in a one-interval build, so the results are
+bitwise those of `step`, and a chunk holds 2 CHUNK n values whatever the
+number of steps.  The gradient's backward sweep assembles its node
 partials one chunk at a time as well, each entry summed in step order.
 The chunk rows are built in place in two arrays reused by every chunk.
 
@@ -61,46 +70,39 @@ A deviation on a HalfLine (the nodes x >= 0, standing for an even
 function) is marched with a reflecting centre row: node 1 couples to the
 centre from both sides, so M's centre super-diagonal unit is 2, N's
 centre row adds n_off (v_1 + v_1), and only the right wall is pinned.  The
-reflected M and N are not symmetric but W-symmetric, W = diag(1/2, 1, ...,
-1): W M is symmetric, so M^T = W M W^-1 and a transposed step is
+reflected M and N are not symmetric but W-symmetric: W M is symmetric, the
+matrix the kernel solves with, so M^T = W M W^-1 and a transposed step is
 W N M^-1 W^-1 (`_w_conjugate`; scaling by 2 and 1/2 is exact).  The delta
 march normalizes the warm-up kernel on the full grid and keeps its x >= 0
 half, so it agrees with the full line's march of the even extension up to
-round-off (elimination starts at the centre, not at the left wall).  The
-gradient runs the full line's recursion in the coordinates W^-1 a and
+round-off (the factorization starts at the centre, not at the left wall).
+The gradient runs the full line's recursion in the coordinates W^-1 a and
 scales the partials by the node multiplicities.  `propagate`,
 `operator_norm` and `adjoint_solve` are not validated on a half line and
 refuse one.
 
-Measured on a 2-vCPU Xeon VM:
-- half line against the full line it stands for, one call on a
-  time-varying sech^2 deviation with 400 steps (process time, median of
-  7): a gradient step takes 43.5 us instead of 61 us at n = 401 (201
-  half-line nodes) and 57 us instead of 99 us at n = 801; a forward step
-  24.7 us instead of 30 us and 30 us instead of 44 us.  Per-step call
-  overhead (the dgtsv wrapper, the checks) does not halve with n, so the
-  gain grows with the grid;
-- chunked time-varying coefficients, traced benchmark runs against the
-  same code building each step's coefficients on its own: a forward step
-  at n = 401 takes 25 us instead of 34 us and a gradient step (forward plus
-  backward) 51 us instead of 76 us; at n = 801 41.7 us instead of 52.6 us
-  and 80 us instead of 103 us; a power-iteration step at n = 201 13.6 us
-  instead of 22.2 us;
-- factored spans in `operator_norm`, traced benchmark runs against sweeps
-  that rebuild the coefficients and call `dgtsv` on every step: a
-  power-iteration step at n = 201 takes 9.8 us instead of 14.3 us;
-- one factorization per time-constant march: at n = 5761 a march step
-  takes about 138 us against 218 us when each step rebuilds M for `dgtsv`,
-  and a limit-shape run at L = 32 peaks at 83 MB instead of 644 MB.  On
-  the 2881 half-line nodes of that grid, which the limit shape marches, a
-  step takes 53 us against 99 us on the 5761-node full line (process time,
-  median of 5 marches of 6400 steps);
-- no factored span in `log_terminal_and_gradient`: it serves the rate
-  optimizer, whose deviations vary in time, and takes each step once
-  forward and once backward.  At n = 801 a cache of the forward march's
-  factors for the backward sweep held about 23 MB per gradient call,
-  raised the peak memory of the benchmark's `probes` workload by 18%, and
-  saved one factorization (about 7 us) per backward step.
+Measured on a 2-vCPU Xeon VM (traced benchmark runs, perfbench seed 0,
+medians of three pairs):
+- LDL^T against the partial-pivoting LU kernel it replaced (`dgtsv`, and
+  `dgttrf` with `dgttrs` in factored spans): a limit-shape march step on
+  2881 half-line nodes takes 41 us instead of 61 us; a rate forward step
+  on 201 half-line nodes 17.6 us instead of 21.7 us and a gradient step
+  28.6 us instead of 34.8 us; a forward step at n = 801 34.8 us instead
+  of 39.7 us; a power-iteration step at n = 201 8.9 us instead of 9.3 us.
+  The solve is most of a step on a wide grid and little of it on a small
+  one, where the call overhead and the checks dominate.
+- Earlier choices, measured with the LU kernel: the half line cut a
+  gradient step by 29% at n = 401 and 42% at n = 801 against the full line
+  it stands for; chunked coefficients cut a forward step by 26% and a
+  gradient step by 33% at n = 401; factored spans cut a power-iteration
+  step by 31%; one factorization per time-constant march cut a step at
+  n = 5761 by 37% and a limit-shape run's peak memory from 644 MB to
+  83 MB.  `log_terminal_and_gradient` keeps no factored span: its
+  deviations vary in time and it takes each step once forward and once
+  backward, and at n = 801 a cache of the forward factors for the
+  backward sweep held about 23 MB per call and raised the peak memory of
+  the benchmark's `probes` workload by 18% to save one factorization per
+  backward step.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
 
 from .grids import (
     Field,
@@ -154,17 +156,32 @@ def _apply_n(v: np.ndarray, n_diag: np.ndarray, n_off: float, reflect: bool) -> 
     return out
 
 
-def _solve_m(dl: np.ndarray, d: np.ndarray, du: np.ndarray, rhs: np.ndarray,
-             reflect: bool) -> np.ndarray:
-    """M^{-1} rhs for M with bands (dl, d, du), computed in the storage of rhs
-    (which is overwritten); dgtsv works on copies of the bands.  The wall
-    entries of rhs are pinned to 0, entry 0 only without `reflect`."""
-    if not reflect:
+def _weigh(rhs: np.ndarray, reflect: bool) -> np.ndarray:
+    """W rhs in place, W = diag(1/2, 1, ..., 1) with `reflect` and I without,
+    and the wall entries pinned to 0 (entry 0 only without `reflect`)."""
+    if reflect:
+        rhs[0] *= 0.5
+    else:
         rhs[0] = 0.0
     rhs[-1] = 0.0
-    _, _, _, x, info = dgtsv(dl, d, du, rhs, 0, 0, 0, 1)
+    return rhs
+
+
+def _indefinite(h: float) -> np.linalg.LinAlgError:
+    return np.linalg.LinAlgError(
+        f"the CN step matrix M = I - (h/2)(D/2 + rho) is not positive definite at step "
+        f"length h = {h:g}: h * lambda_max(D/2 + rho) >= 2, where a step would multiply the "
+        "top mode by a negative factor of size above 1; lower dt")
+
+
+def _solve_m(d: np.ndarray, e: np.ndarray, rhs: np.ndarray, reflect: bool,
+             h: float) -> np.ndarray:
+    """M^{-1} rhs, solved as (W M) x = W rhs for W M with diagonal d and
+    off-diagonal e (see `_Stepper`), in the storage of rhs (which is
+    overwritten); dptsv works on copies of d and e."""
+    _, _, x, info = dptsv(d, e, _weigh(rhs, reflect), 0, 0, 1)
     if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
+        raise _indefinite(h)
     return x
 
 
@@ -188,10 +205,11 @@ class _Stepper:
     """CN steps on a fixed SpaceGrid, or on a HalfLine with a reflecting centre row.
 
     M and N share the diagonal kin_diag + rho_mid; `_diagonals` turns it into
-    the diagonals of both, for one interval or for a chunk of intervals at
-    once (see `_IntervalBands`).  The off-diagonals depend on h alone.  On a
-    half line the centre row's super-diagonal unit is 2, because node 1
-    couples to the centre from both sides, and only the right wall is pinned.
+    the diagonals of N and of W M, for one interval or for a chunk of
+    intervals at once (see `_IntervalBands`).  W M is symmetric, and its
+    off-diagonal (`_m_offdiag`) depends on h alone: the Dirichlet wall rows
+    are identity rows, decoupled from their neighbours, and on a half line
+    the centre row, which couples to node 1 with weight 2, is halved by W.
     """
 
     def __init__(self, sgrid: SpaceGrid | HalfLine):
@@ -199,47 +217,47 @@ class _Stepper:
         self.reflect = isinstance(sgrid, HalfLine)
         self.kin_off = 0.5 / sgrid.dx**2          # off-diagonal of D/2
         self.kin_diag = -1.0 / sgrid.dx**2        # diagonal of D/2
-        # off-diagonals of M per unit of -(h/2) kin_off; the Dirichlet wall
-        # rows are identity rows, decoupled from their neighbours
-        self._du_unit = np.ones(n - 1)
-        self._du_unit[0] = 2.0 if self.reflect else 0.0
-        self._dl_unit = np.ones(n - 1)
-        self._dl_unit[-1] = 0.0
+        # off-diagonal of W M per unit of -(h/2) kin_off
+        self._e_unit = np.ones(n - 1)
+        self._e_unit[-1] = 0.0
         if self.reflect:
             self.step_transpose = _w_conjugate(self.step_transpose)
+        else:
+            self._e_unit[0] = 0.0
 
     def _diagonals(self, h: float, diag: np.ndarray,
                    n_diag: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonals of N and M for steps of length h from `diag` (kin_diag +
-        rho_mid), one interval's row or one row per interval.  M's diagonal is
-        built in the storage of `diag`, which is overwritten, and N's in
+        """Diagonals of N and W M for steps of length h from `diag` (kin_diag +
+        rho_mid), one interval's row or one row per interval.  W M's diagonal
+        is built in the storage of `diag`, which is overwritten, and N's in
         `n_diag` if given, else in a fresh array."""
         diag *= 0.5 * h
         n_diag = np.add(1.0, diag, out=n_diag)
         m_diag = np.subtract(1.0, diag, out=diag)
-        if not self.reflect:
+        if self.reflect:
+            m_diag[..., 0] *= 0.5
+        else:
             m_diag[..., 0] = 1.0
         m_diag[..., -1] = 1.0
         return n_diag, m_diag
 
-    def _m_offdiag(self, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """Sub- and super-diagonal of M for steps of length h."""
-        off = -0.5 * h * self.kin_off
-        return self._dl_unit * off, self._du_unit * off
+    def _m_offdiag(self, h: float) -> np.ndarray:
+        """Off-diagonal of W M for steps of length h."""
+        return self._e_unit * (-0.5 * h * self.kin_off)
 
     def step(self, v: np.ndarray, h: float, rho_mid: np.ndarray) -> np.ndarray:
         n_diag, m_diag = self._diagonals(h, self.kin_diag + rho_mid)
-        dl, du = self._m_offdiag(h)
         r = self.reflect
-        return _solve_m(dl, m_diag, du, _apply_n(v, n_diag, 0.5 * h * self.kin_off, r), r)
+        rhs = _apply_n(v, n_diag, 0.5 * h * self.kin_off, r)
+        return _solve_m(m_diag, self._m_offdiag(h), rhs, r, h)
 
     def step_transpose(self, v: np.ndarray, h: float, rho_mid: np.ndarray) -> np.ndarray:
         # (M^{-1} N)^T = N M^{-1} for symmetric M, N on the pinned subspace;
         # a half line wraps this in _w_conjugate
         n_diag, m_diag = self._diagonals(h, self.kin_diag + rho_mid)
-        dl, du = self._m_offdiag(h)
         r = self.reflect
-        return _apply_n(_solve_m(dl, m_diag, du, v.copy(), r), n_diag, 0.5 * h * self.kin_off, r)
+        x = _solve_m(m_diag, self._m_offdiag(h), v.copy(), r, h)
+        return _apply_n(x, n_diag, 0.5 * h * self.kin_off, r)
 
     def interval_steps(self, rho: SpaceTimeDeviation, h: float):
         """Callables (v, k) -> one step of length h over time interval k of rho,
@@ -247,7 +265,7 @@ class _Stepper:
 
         A time-varying rho has its N and M diagonals built CHUNK intervals at a
         time (`_IntervalBands`) and the off-diagonals once; each call runs
-        `_apply_n` and one dgtsv.  A time-constant rho (stride-0 rows) is a
+        `_apply_n` and one dptsv.  A time-constant rho (stride-0 rows) is a
         `_FactoredSpan` with one factorization for every interval.  Either
         way the results are bitwise those of `step` and `step_transpose`.
         """
@@ -256,17 +274,17 @@ class _Stepper:
             return span.step, span.step_transpose
         n_off = 0.5 * h * self.kin_off
         r = self.reflect
-        dl, du = self._m_offdiag(h)
+        e = self._m_offdiag(h)
         ascending = _IntervalBands(self, rho, h, descending=False)
         descending = _IntervalBands(self, rho, h, descending=True)
 
         def step(v: np.ndarray, k: int) -> np.ndarray:
             n_diag, m_diag = ascending(k)
-            return _solve_m(dl, m_diag, du, _apply_n(v, n_diag, n_off, r), r)
+            return _solve_m(m_diag, e, _apply_n(v, n_diag, n_off, r), r, h)
 
         def step_transpose(v: np.ndarray, k: int) -> np.ndarray:
             n_diag, m_diag = descending(k)
-            return _apply_n(_solve_m(dl, m_diag, du, v.copy(), r), n_diag, n_off, r)
+            return _apply_n(_solve_m(m_diag, e, v.copy(), r, h), n_diag, n_off, r)
 
         return step, (_w_conjugate(step_transpose) if r else step_transpose)
 
@@ -291,16 +309,17 @@ class _Stepper:
 
 class _FactoredSpan:
     """The steps of length h over time intervals ks, ..., kt - 1 of rho, each
-    interval's M factored once (see the module docstring).
+    interval's W M factored once (see the module docstring).
 
-    Every interval keeps its dgttrf factors and its N diagonal, built for the
+    Every interval keeps its dpttrf factors (the diagonal of D and the
+    off-diagonal of L in W M = L D L^T) and its N diagonal, built for the
     whole span in array operations, each entry by the same elementwise
     operations as in `step`.  A step, forward or transposed, is then
-    `_apply_n` and one dgttrs with trans='N' (a half line conjugates the
-    transposed step by W, see `_w_conjugate`), bitwise equal to `step` and
-    `step_transpose`.  A time-constant rho (stride-0 rows) has one
-    factorization shared by every interval.  A singular M raises
-    LinAlgError when the span is built.
+    `_apply_n` and one dpttrs (a half line conjugates the transposed step by
+    W, see `_w_conjugate`), bitwise equal to `step` and `step_transpose`.  A
+    time-constant rho (stride-0 rows) has one factorization shared by every
+    interval.  A W M that is not positive definite raises LinAlgError when
+    the span is built.
     """
 
     def __init__(self, stepper: _Stepper, rho: SpaceTimeDeviation, h: float, ks: int, kt: int):
@@ -311,38 +330,30 @@ class _FactoredSpan:
         shared = vals.strides[0] == 0
         lo, hi = (0, 1) if shared else (ks, kt)
         rows, n = hi - lo, vals.shape[1]
-        # kin_diag + 0.5 (rho_k + rho_k+1), then M's diagonal in its storage;
-        # every band is C-ordered, so dgttrf factors each row in place
+        # kin_diag + 0.5 (rho_k + rho_k+1), then W M's diagonal in its storage;
+        # both bands are C-ordered, so dpttrf factors each row in place
         diag = np.add(vals[lo:hi], vals[lo + 1:hi + 1], out=np.empty((rows, n)))
         diag *= 0.5
         diag += stepper.kin_diag
         n_diag, d = stepper._diagonals(h, diag)
-        dl, du = (np.tile(off, (rows, 1)) for off in stepper._m_offdiag(h))
-        du2 = np.empty((rows, n - 2))
-        ipiv = np.empty((rows, n), dtype=np.int32)
+        e = np.tile(stepper._m_offdiag(h), (rows, 1))
         for j in range(rows):
-            *_, du2[j], ipiv[j], info = dgttrf(dl[j], d[j], du[j], 1, 1, 1)
-            if info > 0:
-                raise np.linalg.LinAlgError("singular matrix")
-        self._factors = list(zip(dl, d, du, du2, ipiv, n_diag))
+            if dpttrf(d[j], e[j], 1, 1)[2] > 0:
+                raise _indefinite(h)
+        self._factors = list(zip(d, e, n_diag))
         if shared:
             self._factors *= kt - ks
         if self._reflect:
             self.step_transpose = _w_conjugate(self.step_transpose)
 
     def step(self, v: np.ndarray, k: int) -> np.ndarray:
-        dl, d, du, du2, ipiv, n_diag = self._factors[k - self._ks]
-        # _apply_n leaves the wall entries zero, as _solve_m would set them
-        rhs = _apply_n(v, n_diag, self._n_off, self._reflect)
-        return dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
+        d, e, n_diag = self._factors[k - self._ks]
+        rhs = _weigh(_apply_n(v, n_diag, self._n_off, self._reflect), self._reflect)
+        return dpttrs(d, e, rhs, overwrite_b=1)[0]
 
     def step_transpose(self, v: np.ndarray, k: int) -> np.ndarray:
-        dl, d, du, du2, ipiv, n_diag = self._factors[k - self._ks]
-        rhs = v.copy()
-        if not self._reflect:
-            rhs[0] = 0.0
-        rhs[-1] = 0.0
-        x = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
+        d, e, n_diag = self._factors[k - self._ks]
+        x = dpttrs(d, e, _weigh(v.copy(), self._reflect), overwrite_b=1)[0]
         return _apply_n(x, n_diag, self._n_off, self._reflect)
 
 
@@ -697,7 +708,7 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
     partials = np.zeros((nt + 1, sg.n_points))
     rel_scale = np.exp(ls - ls[nt])
     bands = _IntervalBands(stepper, rho, dt, descending=True)
-    dl, du = stepper._m_offdiag(dt)
+    e = stepper._m_offdiag(dt)
     n_off = 0.5 * dt * stepper.kin_off
     chunk = min(CHUNK, nt - 1)
     halves = np.empty((chunk, sg.n_points))
@@ -707,7 +718,7 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
         lo = max(hi - CHUNK, 1)
         for k in range(hi - 1, lo - 1, -1):
             n_diag, m_diag = bands(k)
-            half = _solve_m(dl, m_diag, du, u, r)
+            half = _solve_m(m_diag, e, u, r, dt)
             halves[k - lo] = half
             u = _apply_n(half, n_diag, n_off, r)
         # g_k = (z_k+1 + z_k) (dt/4) (M_k^{-1} a_k+1) for k = lo, ..., hi - 1
@@ -725,8 +736,7 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
     for q in range(len(warm_steps) - 1, -1, -1):
         h = warm_steps[q]
         n_diag, m_diag = stepper._diagonals(h, stepper.kin_diag + rho_mid)
-        dl, du = stepper._m_offdiag(h)
-        half = _solve_m(dl, m_diag, du, u, r)
+        half = _solve_m(m_diag, stepper._m_offdiag(h), u, r, h)
         g0 += 0.5 * h * (warm_vals[q] + warm_vals[q + 1]) * scale0 * half
         u = _apply_n(half, n_diag, 0.5 * h * stepper.kin_off, r)
     partials[0] += 0.5 * g0

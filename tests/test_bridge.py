@@ -33,6 +33,7 @@ from kpztail.grids import (
     SpaceGrid,
     SpaceTimeDeviation,
     TimeGrid,
+    format_value,
     heat_kernel,
     standard_time_grid,
 )
@@ -238,6 +239,22 @@ def test_shape_profile_pde_coarse():
     assert csv.splitlines()[0] == "t,x,h_lambda,h_star,abs_err"
 
 
+@pytest.mark.parametrize("backend, opts", [
+    ("pde", ShapeOptions(dx=0.1, dt=0.02)),
+    ("mc", ShapeOptions(mc_t_count=3, mc_x_count=5, mc_paths=50)),
+])
+def test_shape_profile_csv_matches_per_value_formatting(backend, opts):
+    # the CSV as written one value at a time, with h* by the scalar formula
+    prof = shape_profile(8.0, 0.5, backend, opts)
+    lines = ["t,x,h_lambda,h_star,abs_err"]
+    for i, t in enumerate(prof.t_values.tolist()):
+        for j, x in enumerate(prof.x_values.tolist()):
+            h = prof.h_values[i, j]
+            hs = -abs(x) + 0.5 * t if abs(x) <= t else -(x * x) / (2.0 * t)
+            lines.append(",".join(format_value(v) for v in (t, x, h, hs, abs(h - hs))))
+    assert prof.to_csv() == "\n".join(lines) + "\n"
+
+
 def _full_line_shape_h(lam, delta, opts):
     """h of shape_profile's problem marched on the whole line [-L, L]."""
     n_half = int(math.ceil(bridge._required_half_width(lam, delta) / opts.dx))
@@ -334,6 +351,27 @@ def test_shape_profile_mc_spotcheck():
         assert abs(prof.h_values[i, j0] - 0.5 * t) <= slack
 
 
+def test_shape_profile_mc_far_outside_the_cone():
+    # the heat kernel at lam = 200, t = 0.5, x = +-2 is exp(-800): it underflows,
+    # and h is built from its logarithm instead
+    prof = shape_profile(200.0, 0.5, "mc", ShapeOptions(mc_t_count=1, mc_x_count=3, mc_paths=10))
+    assert prof.x_values.tolist() == [-2.0, 0.0, 2.0]
+    assert np.all(np.abs(prof.h_values[:, [0, 2]] + 4.0) <= 0.01)  # h* = -x^2 / (2t)
+
+
+def test_shape_profile_mc_work_is_checked_before_the_first_call(monkeypatch):
+    monkeypatch.setattr(bridge, "_stream_weights", lambda *a: pytest.fail("ran before the check"))
+    # 36 calls of at most 1e6 paths x 6000 steps each, 1.35e11 path-steps in all
+    with pytest.raises(ValueError, match="bridge budget"):
+        shape_profile(150.0, 0.5, "mc", ShapeOptions(mc_paths=1_000_000))
+    # 9 x (1500 + 3000 + 4500 + 6000) steps: 80k paths take 1.08e10 path-steps,
+    # 70k paths 9.45e9, which is within it
+    with pytest.raises(ValueError, match="bridge budget"):
+        shape_profile(150.0, 0.5, "mc", ShapeOptions(mc_paths=80_000))
+    with pytest.raises(pytest.fail.Exception, match="ran before the check"):
+        shape_profile(150.0, 0.5, "mc", ShapeOptions(mc_paths=70_000))
+
+
 # --- bitwise pins ------------------------------------------------------------
 # Exact outputs recorded before the bridge step kernel was rewritten in place
 # (numpy 2.4, x86-64).  Each run has two full blocks and a short third one, so
@@ -394,7 +432,7 @@ def test_shape_profile_pde_pinned():
     prof = shape_profile(8.0, 0.5, "pde", ShapeOptions(dx=0.1, dt=0.02))
     body = prof.to_csv().encode()
     assert hashlib.sha256(body).hexdigest() == (
-        "ae08281d484cb53e79b1e62bdcb7f6150321026559d9e7647c6b3aa88a0fa107")
+        "f78e1ef556e625f1c492bbdb6acde7af4d326a1cc560de622679d87fe3ef3e86")
 
 
 def test_potential_on_path_matches_reference(phi20):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kpztail import cli
+from kpztail import cli, solver
 from kpztail.cli import main
 
 
@@ -210,6 +210,10 @@ def test_rate_work_over_budget_is_an_error(tmp_path, capsys, monkeypatch, argv):
      "solve_delta_scaled"),
     # 100000 paths x 2e10 steps
     (["fk", "--duration", "1e9"], "bridge budget", "_bridge_steps"),
+    # each of the 4 x 9 calls fits (at most 1e6 x 6000 path-steps), all of them
+    # together (1.35e11) do not
+    (["limit-shape", "--lambda", "150", "--delta", "0.5", "--backend", "mc",
+      "--paths", "1000000"], "bridge budget", "_stream_weights"),
 ])
 def test_shape_and_bridge_work_over_budget_is_an_error(tmp_path, capsys, monkeypatch, argv,
                                                         message, worker):
@@ -217,6 +221,41 @@ def test_shape_and_bridge_work_over_budget_is_an_error(tmp_path, capsys, monkeyp
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # h * lambda_max(D/2 + rho) >= 2: the CN step matrix is not positive definite
+    ["limit-shape", "--lambda", "8", "--delta", "0.5", "--dt", "4"],
+    ["rate", "--lambda", "8", "--dt", "2"],
+])
+def test_step_too_long_for_the_solver_is_an_error(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not positive definite" in err and "lower dt" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solver_instability_is_an_error(tmp_path, capsys, monkeypatch):
+    def unstable(*args, **kwargs):
+        raise solver.SolverInstabilityError("non-finite values after step 3")
+
+    monkeypatch.setattr(cli.bridge, "solve_delta_scaled", unstable)
+    argv = ["limit-shape", "--lambda", "8", "--delta", "0.5", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: non-finite values after step 3\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_limit_shape_mc_in_the_deep_tail(tmp_path):
+    # at lam = 200, t = 0.5, x = -2 the heat kernel is exp(-800), which underflows
+    out = tmp_path / "mc"
+    argv = ["limit-shape", "--lambda", "200", "--delta", "0.5", "--backend", "mc",
+            "--paths", "10", "--out", str(out)]
+    assert main(argv) == 0
+    rows = read(out / "shape_profile.csv").splitlines()
+    assert len(rows) == 1 + 4 * 9
+    assert rows[1].startswith("0.5,-2,-4.00")
 
 
 def test_tail_law_takes_every_rate_depth(tmp_path):
