@@ -85,10 +85,11 @@ Measured on a 2-vCPU Xeon VM (traced benchmark runs, perfbench seed 0,
 medians of three pairs):
 - LDL^T against the partial-pivoting LU kernel it replaced (`dgtsv`, and
   `dgttrf` with `dgttrs` in factored spans): a limit-shape march step on
-  2881 half-line nodes takes 41 us instead of 61 us; a rate forward step
-  on 201 half-line nodes 17.6 us instead of 21.7 us and a gradient step
-  28.6 us instead of 34.8 us; a forward step at n = 801 34.8 us instead
-  of 39.7 us; a power-iteration step at n = 201 8.9 us instead of 9.3 us.
+  2881 half-line nodes takes 37 us instead of 58 us; a rate forward step
+  on 201 half-line nodes 19.8 us instead of 25.6 us and a gradient step
+  32.7 us instead of 40.5 us; at n = 801 a forward step 34.9 us instead of
+  41.7 us and a gradient step 65.9 us instead of 78.3 us; a
+  power-iteration step at n = 201 7.9 us instead of 10.3 us.
   The solve is most of a step on a wide grid and little of it on a small
   one, where the call overhead and the checks dominate.
 - Earlier choices, measured with the LU kernel: the half line cut a
