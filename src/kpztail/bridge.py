@@ -35,10 +35,12 @@ only in the order of the factorization's round-off (at most 1e-14 in h on the
 grids of the tests).  The half line has (n + 1)/2 of the n nodes, and the
 profile is exactly even in x.
 
-Work is capped before it starts: a Monte Carlo call of more than
-BRIDGE_PATH_STEP_BUDGET path-steps (`BridgeConfig.steps_for`), an mc-backend
-limit shape whose calls add up to more than that, and a limit-shape march of
-more than SHAPE_NODE_BUDGET half-line space-time nodes raise ValueError.
+A limit-shape grid coarser than MAX_SHAPE_DX in space or MAX_SHAPE_DT in
+time raises ValueError.  Work is capped before it starts: a Monte Carlo call
+of more than BRIDGE_PATH_STEP_BUDGET path-steps (`BridgeConfig.steps_for`),
+an mc-backend limit shape whose calls add up to more than that, and a
+limit-shape march of more than SHAPE_NODE_BUDGET half-line space-time nodes
+raise ValueError.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ BRIDGE_PATH_STEP_BUDGET = 10**10
 # half-line space-time nodes of one limit-shape march; lam = 32 at dx = 0.05,
 # dt = 0.01 has 2881 x 6401 = 1.8e7
 SHAPE_NODE_BUDGET = 10**8
+# coarsest limit-shape steps: at lam = 8, dx = 0.5 gives sup|h - h*| = 0.62 and
+# dt = 0.2 gives 0.33; (dx, dt) = (0.1, 0.05) gives 0.13, 0.087 and 0.083 at
+# lam = 8, 16 and 32, within criterion 7's tolerances
+MAX_SHAPE_DX = 0.1
+MAX_SHAPE_DT = 0.05
 
 
 class ConfigurationError(RuntimeError):
@@ -481,8 +488,14 @@ class ShapeOptions:
     def __post_init__(self):
         if not self.dx > 0:
             raise ValueError(f"dx must be positive, got {self.dx}")
+        if not self.dx <= MAX_SHAPE_DX:
+            raise ValueError(f"dx = {self.dx:g} exceeds {MAX_SHAPE_DX}, too coarse for the "
+                             "limit shape")
         if not self.dt > DELTA_WARMUP:
             raise ValueError(f"dt must exceed the delta warm-up time {DELTA_WARMUP}, got {self.dt}")
+        if not self.dt <= MAX_SHAPE_DT:
+            raise ValueError(f"dt = {self.dt:g} exceeds {MAX_SHAPE_DT}, too coarse for the "
+                             "limit shape")
         if self.half_width is not None and not self.half_width > 0:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
         for name in ("mc_t_count", "mc_x_count", "mc_paths"):

@@ -8,10 +8,14 @@ implicit and explicit level, so one step is M^{-1} N with
 
     M = I - (h/2) (D/2 + rho_mid),   N = I + (h/2) (D/2 + rho_mid),
 
-D the central second difference and Dirichlet-zero walls.  M and N are
-symmetric on the wall-pinned subspace, which makes adjoint application an
-exact transpose and keeps the discrete duality <A(s), Z(s)> constant in s to
-round-off.
+D the central second difference and Dirichlet-zero walls.  Since N = 2I - M,
+a step is taken as M^{-1}(2v) - v: one solve and one subtraction, with no
+explicit half-step N v formed.  The step 2 M^{-1} - I is symmetric on the
+wall-pinned subspace, which makes adjoint application an exact transpose
+(the same steps in reverse order) and keeps the discrete duality
+<A(s), Z(s)> constant in s to round-off.  A pinned input (wall entries 0)
+gives wall entries exactly 0; a wall entry w of any other input comes out
+as -w and does not reach the interior.
 
 Within the first grid interval the march takes geometrically growing
 sub-steps (step length <= elapsed time) so the barely-resolved warm-up
@@ -41,13 +45,12 @@ at n = 401.  The call does not check its input for non-finite values, so
 every sweep checks its result.
 
 A step matrix that is used more than once is factored once, in a factored
-span (`_FactoredSpan`): one `dpttrf` per interval, after which a step,
-forward or transposed, is `_apply_n` and one `dpttrs`.  dptsv is dpttrf
-followed by dpttrs, so the results are bitwise those of `dptsv`.  Two
-callers build one:
+span (`_FactoredSpan`): one `dpttrf` per interval, after which a step is one
+`dpttrs` and the subtraction.  dptsv is dpttrf followed by dpttrs, so the
+results are bitwise those of `dptsv`.  Two callers build one:
 - `operator_norm` factors every interval of its span once per call and
   reuses the factors in all 2 iters sweeps.  The span holds about
-  (kt - ks) n 24 bytes: 0.5 MB for 100 steps at n = 201, 15 MB for 800
+  (kt - ks) n 16 bytes: 0.3 MB for 100 steps at n = 201, 10 MB for 800
   steps at n = 801;
 - a time-constant deviation (`SpaceTimeDeviation.time_constant`, rows held
   as one stride-0 view) has the same M on every interval, so its delta
@@ -56,33 +59,38 @@ callers build one:
 The march stores only the time nodes its caller keeps.
 
 Elsewhere a time-varying deviation's steps are each taken once per sweep.
-Their diagonals, of N and of W M, are built CHUNK intervals at a time in
-whole-array operations (`_IntervalBands`), for sweeps in either direction,
-and the off-diagonal once per sweep; the step loop runs only the explicit
-half-step, one `dptsv` and the checks.  Each entry goes through the same
-elementwise operations as in a one-interval build, so the results are
-bitwise those of `step`, and a chunk holds 2 CHUNK n values whatever the
-number of steps.  The gradient's backward sweep assembles its node
-partials one chunk at a time as well, each entry summed in step order.
-The chunk rows are built in place in two arrays reused by every chunk.
+Their W M diagonals are built CHUNK intervals at a time in whole-array
+operations (`_IntervalBands`), for sweeps in either direction, and the
+off-diagonal once per sweep; the step loop runs only one `dptsv`, the
+subtraction and the checks.  Each entry goes through the same elementwise
+operations as in a one-interval build, so the results are bitwise those of
+`step`, and a chunk holds CHUNK n values whatever the number of steps.  The
+gradient's backward sweep assembles its node partials one chunk at a time
+as well, each entry summed in step order.  The chunk rows are built in
+place in one array reused by every chunk.
 
 A deviation on a HalfLine (the nodes x >= 0, standing for an even
 function) is marched with a reflecting centre row: node 1 couples to the
-centre from both sides, so M's centre super-diagonal unit is 2, N's
-centre row adds n_off (v_1 + v_1), and only the right wall is pinned.  The
-reflected M and N are not symmetric but W-symmetric: W M is symmetric, the
-matrix the kernel solves with, so M^T = W M W^-1 and a transposed step is
-W N M^-1 W^-1 (`_w_conjugate`; scaling by 2 and 1/2 is exact).  The delta
-march normalizes the warm-up kernel on the full grid and keeps its x >= 0
-half, so it agrees with the full line's march of the even extension up to
-round-off (the factorization starts at the centre, not at the left wall).
-The gradient runs the full line's recursion in the coordinates W^-1 a and
-scales the partials by the node multiplicities.  `propagate`,
+centre from both sides, so M's centre super-diagonal unit is 2, and only
+the right wall is pinned.  The reflected M is not symmetric but
+W-symmetric: W M is symmetric, the matrix the kernel solves with.  The
+delta march normalizes the warm-up kernel on the full grid and keeps its
+x >= 0 half, so it agrees with the full line's march of the even extension
+up to round-off (the factorization starts at the centre, not at the left
+wall).  The gradient runs the full line's recursion in the coordinates
+W^-1 a and scales the partials by the node multiplicities.  `propagate`,
 `operator_norm` and `adjoint_solve` are not validated on a half line and
-refuse one.
+refuse one; on it a step is not its own transpose.
 
 Measured on a 2-vCPU Xeon VM (traced benchmark runs, perfbench seed 0,
 medians of three pairs):
+- The step taken as M^{-1}(2v) - v against the explicit half-step N v and
+  the separate transposed step it replaced: a rate forward step on 201
+  half-line nodes takes 17.5 us instead of 20.5 us and a gradient step
+  28.5 us instead of 34.4 us; at n = 801 a forward step 32.1 us instead of
+  37.9 us and a gradient step 61.8 us instead of 74.7 us; a power-iteration
+  step at n = 201 5.0 us instead of 8.7 us; a limit-shape march step (up
+  to 2881 half-line nodes) 29.4 us instead of 36.6 us.
 - LDL^T against the partial-pivoting LU kernel it replaced (`dgtsv`, and
   `dgttrf` with `dgttrs` in factored spans): a limit-shape march step on
   2881 half-line nodes takes 37 us instead of 58 us; a rate forward step
@@ -141,22 +149,6 @@ def _rho_mid(rho: SpaceTimeDeviation, k: int) -> np.ndarray:
     return 0.5 * (rho.values[k] + rho.values[k + 1])
 
 
-def _apply_n(v: np.ndarray, n_diag: np.ndarray, n_off: float, reflect: bool) -> np.ndarray:
-    """N v for N with diagonal n_diag and off-diagonal n_off; walls pinned to 0.
-
-    With `reflect` entry 0 is a half line's centre, coupled to node 1 from
-    both sides, and only the last entry is a wall.
-    """
-    out = v * n_diag
-    out[1:-1] += n_off * (v[2:] + v[:-2])
-    if reflect:
-        out[0] += n_off * (v[1] + v[1])
-    else:
-        out[0] = 0.0
-    out[-1] = 0.0
-    return out
-
-
 def _weigh(rhs: np.ndarray, reflect: bool) -> np.ndarray:
     """W rhs in place, W = diag(1/2, 1, ..., 1) with `reflect` and I without,
     and the wall entries pinned to 0 (entry 0 only without `reflect`)."""
@@ -186,31 +178,16 @@ def _solve_m(d: np.ndarray, e: np.ndarray, rhs: np.ndarray, reflect: bool,
     return x
 
 
-def _w_conjugate(transpose):
-    """v -> W transpose(W^-1 v) for W = diag(1/2, 1, ..., 1).
-
-    On a half line M and N are W-symmetric: W M and W N are symmetric, so
-    M^T = W M W^-1 and (M^-1 N)^T = W N M^-1 W^-1.  Scaling entry 0 by 2 and
-    by 1/2 is exact, so this is the exact Euclidean transpose of a step.
-    """
-    def conjugated(v: np.ndarray, *args) -> np.ndarray:
-        w = v.copy()
-        w[0] *= 2.0
-        out = transpose(w, *args)
-        out[0] *= 0.5
-        return out
-    return conjugated
-
-
 class _Stepper:
     """CN steps on a fixed SpaceGrid, or on a HalfLine with a reflecting centre row.
 
-    M and N share the diagonal kin_diag + rho_mid; `_diagonals` turns it into
-    the diagonals of N and of W M, for one interval or for a chunk of
-    intervals at once (see `_IntervalBands`).  W M is symmetric, and its
-    off-diagonal (`_m_offdiag`) depends on h alone: the Dirichlet wall rows
-    are identity rows, decoupled from their neighbours, and on a half line
-    the centre row, which couples to node 1 with weight 2, is halved by W.
+    A step is M^{-1} N v = M^{-1}(2v) - v, since N = 2I - M: one solve with
+    W M and one subtraction.  W M's diagonal comes from kin_diag + rho_mid
+    (`_m_diagonal`), for one interval or for a chunk of intervals at once
+    (see `_IntervalBands`).  W M is symmetric, and its off-diagonal
+    (`_m_offdiag`) depends on h alone: the Dirichlet wall rows are identity
+    rows, decoupled from their neighbours, and on a half line the centre
+    row, which couples to node 1 with weight 2, is halved by W.
     """
 
     def __init__(self, sgrid: SpaceGrid | HalfLine):
@@ -221,88 +198,71 @@ class _Stepper:
         # off-diagonal of W M per unit of -(h/2) kin_off
         self._e_unit = np.ones(n - 1)
         self._e_unit[-1] = 0.0
-        if self.reflect:
-            self.step_transpose = _w_conjugate(self.step_transpose)
-        else:
+        if not self.reflect:
             self._e_unit[0] = 0.0
 
-    def _diagonals(self, h: float, diag: np.ndarray,
-                   n_diag: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonals of N and W M for steps of length h from `diag` (kin_diag +
-        rho_mid), one interval's row or one row per interval.  W M's diagonal
-        is built in the storage of `diag`, which is overwritten, and N's in
-        `n_diag` if given, else in a fresh array."""
+    def _m_diagonal(self, h: float, diag: np.ndarray) -> np.ndarray:
+        """Diagonal of W M for steps of length h from `diag` (kin_diag +
+        rho_mid), one interval's row or one row per interval, built in the
+        storage of `diag`, which is overwritten."""
         diag *= 0.5 * h
-        n_diag = np.add(1.0, diag, out=n_diag)
         m_diag = np.subtract(1.0, diag, out=diag)
         if self.reflect:
             m_diag[..., 0] *= 0.5
         else:
             m_diag[..., 0] = 1.0
         m_diag[..., -1] = 1.0
-        return n_diag, m_diag
+        return m_diag
 
     def _m_offdiag(self, h: float) -> np.ndarray:
         """Off-diagonal of W M for steps of length h."""
         return self._e_unit * (-0.5 * h * self.kin_off)
 
     def step(self, v: np.ndarray, h: float, rho_mid: np.ndarray) -> np.ndarray:
-        n_diag, m_diag = self._diagonals(h, self.kin_diag + rho_mid)
-        r = self.reflect
-        rhs = _apply_n(v, n_diag, 0.5 * h * self.kin_off, r)
-        return _solve_m(m_diag, self._m_offdiag(h), rhs, r, h)
+        y = _solve_m(self._m_diagonal(h, self.kin_diag + rho_mid), self._m_offdiag(h),
+                     2.0 * v, self.reflect, h)
+        y -= v
+        return y
 
-    def step_transpose(self, v: np.ndarray, h: float, rho_mid: np.ndarray) -> np.ndarray:
-        # (M^{-1} N)^T = N M^{-1} for symmetric M, N on the pinned subspace;
-        # a half line wraps this in _w_conjugate
-        n_diag, m_diag = self._diagonals(h, self.kin_diag + rho_mid)
-        r = self.reflect
-        x = _solve_m(m_diag, self._m_offdiag(h), v.copy(), r, h)
-        return _apply_n(x, n_diag, 0.5 * h * self.kin_off, r)
+    def interval_steps(self, rho: SpaceTimeDeviation, h: float, descending: bool = False):
+        """Callable (v, k) -> one step of length h over time interval k of rho,
+        for a sweep over the intervals in ascending or `descending` order.
 
-    def interval_steps(self, rho: SpaceTimeDeviation, h: float):
-        """Callables (v, k) -> one step of length h over time interval k of rho,
-        and (v, k) -> its transpose.
-
-        A time-varying rho has its N and M diagonals built CHUNK intervals at a
-        time (`_IntervalBands`) and the off-diagonals once; each call runs
-        `_apply_n` and one dptsv.  A time-constant rho (stride-0 rows) is a
+        A time-varying rho has its W M diagonals built CHUNK intervals at a
+        time (`_IntervalBands`) and the off-diagonal once; each call runs one
+        dptsv and one subtraction.  A time-constant rho (stride-0 rows) is a
         `_FactoredSpan` with one factorization for every interval.  Either
-        way the results are bitwise those of `step` and `step_transpose`.
+        way the results are bitwise those of `step`.
         """
         if rho.values.strides[0] == 0:
-            span = _FactoredSpan(self, rho, h, 0, rho.tgrid.n_steps)
-            return span.step, span.step_transpose
-        n_off = 0.5 * h * self.kin_off
+            return _FactoredSpan(self, rho, h, 0, rho.tgrid.n_steps).step
         r = self.reflect
         e = self._m_offdiag(h)
-        ascending = _IntervalBands(self, rho, h, descending=False)
-        descending = _IntervalBands(self, rho, h, descending=True)
+        bands = _IntervalBands(self, rho, h, descending)
 
         def step(v: np.ndarray, k: int) -> np.ndarray:
-            n_diag, m_diag = ascending(k)
-            return _solve_m(m_diag, e, _apply_n(v, n_diag, n_off, r), r, h)
+            y = _solve_m(bands(k), e, 2.0 * v, r, h)
+            y -= v
+            return y
 
-        def step_transpose(v: np.ndarray, k: int) -> np.ndarray:
-            n_diag, m_diag = descending(k)
-            return _apply_n(_solve_m(m_diag, e, v.copy(), r, h), n_diag, n_off, r)
-
-        return step, (_w_conjugate(step_transpose) if r else step_transpose)
+        return step
 
     def sweep(self, v: np.ndarray, rho: SpaceTimeDeviation, ks: int, kt: int) -> np.ndarray:
         """Steps over the time intervals ks, ..., kt - 1 of rho's grid, in order."""
-        step, _ = self.interval_steps(rho, rho.tgrid.dt)
+        step = self.interval_steps(rho, rho.tgrid.dt)
         for k in range(ks, kt):
             v = step(v, k)
         return v
 
     def sweep_transpose(self, v: np.ndarray, rho: SpaceTimeDeviation, ks: int, kt: int,
                         out: np.ndarray | None = None) -> np.ndarray:
-        """Transposed steps over the intervals kt - 1, ..., ks; row k of `out`
-        (if given) receives the value at time node k."""
-        _, step_transpose = self.interval_steps(rho, rho.tgrid.dt)
+        """The transpose of `sweep` on a full line: the same steps over the
+        intervals kt - 1, ..., ks, since each step 2 M^{-1} - I is symmetric
+        on the wall-pinned subspace.  Row k of `out` (if given) receives the
+        value at time node k."""
+        step = self.interval_steps(rho, rho.tgrid.dt, descending=True)
         for k in range(kt - 1, ks - 1, -1):
-            v = step_transpose(v, k)
+            v = step(v, k)
             if out is not None:
                 out[k] = v
         return v
@@ -313,19 +273,16 @@ class _FactoredSpan:
     interval's W M factored once (see the module docstring).
 
     Every interval keeps its dpttrf factors (the diagonal of D and the
-    off-diagonal of L in W M = L D L^T) and its N diagonal, built for the
-    whole span in array operations, each entry by the same elementwise
-    operations as in `step`.  A step, forward or transposed, is then
-    `_apply_n` and one dpttrs (a half line conjugates the transposed step by
-    W, see `_w_conjugate`), bitwise equal to `step` and `step_transpose`.  A
-    time-constant rho (stride-0 rows) has one factorization shared by every
-    interval.  A W M that is not positive definite raises LinAlgError when
-    the span is built.
+    off-diagonal of L in W M = L D L^T), built for the whole span in array
+    operations, each entry by the same elementwise operations as in `step`.
+    A step is then one dpttrs and one subtraction, bitwise equal to `step`.
+    A time-constant rho (stride-0 rows) has one factorization shared by
+    every interval.  A W M that is not positive definite raises LinAlgError
+    when the span is built.
     """
 
     def __init__(self, stepper: _Stepper, rho: SpaceTimeDeviation, h: float, ks: int, kt: int):
         self._reflect = stepper.reflect
-        self._n_off = 0.5 * h * stepper.kin_off
         self._ks = ks
         vals = rho.values
         shared = vals.strides[0] == 0
@@ -336,41 +293,35 @@ class _FactoredSpan:
         diag = np.add(vals[lo:hi], vals[lo + 1:hi + 1], out=np.empty((rows, n)))
         diag *= 0.5
         diag += stepper.kin_diag
-        n_diag, d = stepper._diagonals(h, diag)
+        d = stepper._m_diagonal(h, diag)
         e = np.tile(stepper._m_offdiag(h), (rows, 1))
         for j in range(rows):
             if dpttrf(d[j], e[j], 1, 1)[2] > 0:
                 raise _indefinite(h)
-        self._factors = list(zip(d, e, n_diag))
+        self._factors = list(zip(d, e))
         if shared:
             self._factors *= kt - ks
-        if self._reflect:
-            self.step_transpose = _w_conjugate(self.step_transpose)
 
     def step(self, v: np.ndarray, k: int) -> np.ndarray:
-        d, e, n_diag = self._factors[k - self._ks]
-        rhs = _weigh(_apply_n(v, n_diag, self._n_off, self._reflect), self._reflect)
-        return dpttrs(d, e, rhs, overwrite_b=1)[0]
-
-    def step_transpose(self, v: np.ndarray, k: int) -> np.ndarray:
-        d, e, n_diag = self._factors[k - self._ks]
-        x = dpttrs(d, e, _weigh(v.copy(), self._reflect), overwrite_b=1)[0]
-        return _apply_n(x, n_diag, self._n_off, self._reflect)
+        d, e = self._factors[k - self._ks]
+        y = dpttrs(d, e, _weigh(2.0 * v, self._reflect), overwrite_b=1)[0]
+        y -= v
+        return y
 
 
 class _IntervalBands:
-    """(N diagonal, M diagonal) of time interval k of rho for steps of length h.
+    """W M's diagonal of time interval k of rho for steps of length h.
 
     The diagonals are built for CHUNK intervals at a time in whole-array
     operations, each entry by the same elementwise operations as a one-row
-    `_Stepper._diagonals` call, so they are bitwise those of `step`.  A read
-    outside the current chunk replaces it by the CHUNK intervals that
+    `_Stepper._m_diagonal` call, so they are bitwise those of `step`.  A
+    read outside the current chunk replaces it by the CHUNK intervals that
     continue from k in the sweep's direction: upward from k after reads
     below it, downward to k after reads above it.  An empty chunk sits at
     the first interval for an ascending sweep and past the last one for a
-    descending sweep.  Every chunk is built in the same two arrays,
-    allocated at the first read; a returned row is valid until the next
-    read outside its chunk.
+    descending sweep.  Every chunk is built in the same array, allocated at
+    the first read; a returned row is valid until the next read outside its
+    chunk.
     """
 
     def __init__(self, stepper: _Stepper, rho: SpaceTimeDeviation, h: float, descending: bool):
@@ -379,26 +330,24 @@ class _IntervalBands:
         self._h = h
         self._nt = rho.tgrid.n_steps
         self._lo = self._hi = self._nt if descending else 0
-        self._n_buf = self._m_buf = None
+        self._buf = None
 
-    def __call__(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, k: int) -> np.ndarray:
         if not self._lo <= k < self._hi:
             if k >= self._hi:
                 lo, hi = k, min(k + CHUNK, self._nt)
             else:
                 lo, hi = max(k + 1 - CHUNK, 0), k + 1
-            if self._m_buf is None:
-                shape = (min(CHUNK, self._nt), self._vals.shape[1])
-                self._n_buf, self._m_buf = np.empty(shape), np.empty(shape)
+            if self._buf is None:
+                self._buf = np.empty((min(CHUNK, self._nt), self._vals.shape[1]))
             vals = self._vals
-            # kin_diag + 0.5 (rho_k + rho_k+1), built in the M storage
-            diag = np.add(vals[lo:hi], vals[lo + 1:hi + 1], out=self._m_buf[:hi - lo])
+            # kin_diag + 0.5 (rho_k + rho_k+1), then W M's diagonal in place
+            diag = np.add(vals[lo:hi], vals[lo + 1:hi + 1], out=self._buf[:hi - lo])
             diag *= 0.5
             diag += self._stepper.kin_diag
-            self._stepper._diagonals(self._h, diag, self._n_buf[:hi - lo])
+            self._stepper._m_diagonal(self._h, diag)
             self._lo, self._hi = lo, hi
-        j = k - self._lo
-        return self._n_buf[j], self._m_buf[j]
+        return self._buf[k - self._lo]
 
 
 def _warmup_substeps(t0: float, t1: float):
@@ -534,7 +483,7 @@ def _march_delta(rho: SpaceTimeDeviation, keep=None, keep_warmup: bool = False):
         warm_vals.append(v)
     v = settle(1, v, m)
 
-    step, _ = stepper.interval_steps(rho, dt)
+    step = stepper.interval_steps(rho, dt)
     for k in range(1, nt):
         v, m = _check_slice(step(v, k), str(k + 1))
         v = settle(k + 1, v, m)
@@ -632,7 +581,7 @@ def operator_norm(rho: SpaceTimeDeviation, s: float, t: float, iters: int = 60,
         new_est = np.sqrt(np.dot(w, w) / np.dot(v, v))
         v = w
         for k in range(kt - 1, ks - 1, -1):
-            v = span.step_transpose(v, k)
+            v = span.step(v, k)
         _require_finite(v, "power iteration sweep")
         v /= np.sqrt(np.dot(v, v))
         if it > 1 and abs(new_est - est) <= 1e-8 * max(new_est, 1e-300):
@@ -664,7 +613,7 @@ def adjoint_solve(rho: SpaceTimeDeviation, terminal: Potential) -> Field:
     v = stepper.sweep_transpose(v, rho, 1, nt, out=out)
     rho_mid = _rho_mid(rho, 0)
     for h in reversed(_warmup_substeps(DELTA_WARMUP, dt)):
-        v = stepper.step_transpose(v, h, rho_mid)
+        v = stepper.step(v, h, rho_mid)
     out[0] = v
     _require_finite(out, "adjoint sweep")
     return Field(tg, sg, out, strictly_positive=False)
@@ -685,7 +634,7 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
 
     On a HalfLine rho is even in x and a node x > 0 stands for x and -x.  The
     recursion below then runs in the coordinates W^-1 a (W = diag(1/2, 1,
-    ..., 1), see `_w_conjugate`), where it is the full line's; this yields
+    ..., 1)), where it is the full line's; this yields
     the full-line partials at x >= 0, and the half-line partials are those
     times the node's multiplicity, 1 at the centre and 2 elsewhere.
     """
@@ -710,7 +659,6 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
     rel_scale = np.exp(ls - ls[nt])
     bands = _IntervalBands(stepper, rho, dt, descending=True)
     e = stepper._m_offdiag(dt)
-    n_off = 0.5 * dt * stepper.kin_off
     chunk = min(CHUNK, nt - 1)
     halves = np.empty((chunk, sg.n_points))
     z_buf = np.empty((chunk + 1, sg.n_points))
@@ -718,10 +666,11 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
     for hi in range(nt, 1, -CHUNK):
         lo = max(hi - CHUNK, 1)
         for k in range(hi - 1, lo - 1, -1):
-            n_diag, m_diag = bands(k)
-            half = _solve_m(m_diag, e, u, r, dt)
-            halves[k - lo] = half
-            u = _apply_n(half, n_diag, n_off, r)
+            # u <- N_k M_k^{-1} u = 2 M_k^{-1} u - u; x = M_k^{-1}(2u) = 2 M_k^{-1} u exactly
+            x = _solve_m(bands(k), e, 2.0 * u, r, dt)
+            np.multiply(x, 0.5, out=halves[k - lo])
+            x -= u
+            u = x
         # g_k = (z_k+1 + z_k) (dt/4) (M_k^{-1} a_k+1) for k = lo, ..., hi - 1
         z = np.multiply(rows[lo:hi + 1], rel_scale[lo:hi + 1, None], out=z_buf[:hi - lo + 1])
         g = np.add(z[1:], z[:-1], out=g_buf[:hi - lo])
@@ -736,10 +685,11 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
     g0 = np.zeros(sg.n_points)
     for q in range(len(warm_steps) - 1, -1, -1):
         h = warm_steps[q]
-        n_diag, m_diag = stepper._diagonals(h, stepper.kin_diag + rho_mid)
-        half = _solve_m(m_diag, stepper._m_offdiag(h), u, r, h)
-        g0 += 0.5 * h * (warm_vals[q] + warm_vals[q + 1]) * scale0 * half
-        u = _apply_n(half, n_diag, 0.5 * h * stepper.kin_off, r)
+        x = _solve_m(stepper._m_diagonal(h, stepper.kin_diag + rho_mid), stepper._m_offdiag(h),
+                     2.0 * u, r, h)
+        g0 += 0.5 * h * (warm_vals[q] + warm_vals[q + 1]) * scale0 * (0.5 * x)
+        x -= u
+        u = x
     partials[0] += 0.5 * g0
     partials[1] += 0.5 * g0
 

@@ -330,6 +330,8 @@ def test_shape_profile_config_error():
     ("dx", float("nan"), "dx must be positive"),
     ("dt", 1e-3, "dt must exceed the delta warm-up time"),
     ("dt", -0.01, "dt must exceed the delta warm-up time"),
+    ("dx", 0.5, "too coarse for the limit shape"),
+    ("dt", 0.2, "too coarse for the limit shape"),
     ("half_width", 0.0, "half_width must be positive"),
     ("mc_t_count", 0, "mc_t_count must be >= 1"),
     ("mc_x_count", 0, "mc_x_count must be >= 1"),
@@ -432,7 +434,7 @@ def test_shape_profile_pde_pinned():
     prof = shape_profile(8.0, 0.5, "pde", ShapeOptions(dx=0.1, dt=0.02))
     body = prof.to_csv().encode()
     assert hashlib.sha256(body).hexdigest() == (
-        "f78e1ef556e625f1c492bbdb6acde7af4d326a1cc560de622679d87fe3ef3e86")
+        "aad20d706b2d79d7d64624e239bcdbe7a057228c4c8f4ed13c2a3b23ce40e0e8")
 
 
 def test_potential_on_path_matches_reference(phi20):

@@ -224,8 +224,20 @@ def test_shape_and_bridge_work_over_budget_is_an_error(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize("argv", [
-    # h * lambda_max(D/2 + rho) >= 2: the CN step matrix is not positive definite
+    # dt = 4 would also be too long for the solver (see below)
     ["limit-shape", "--lambda", "8", "--delta", "0.5", "--dt", "4"],
+    # sup|h - h*| = 0.62 and 0.33 at lam = 8, against 0.13 at the defaults
+    ["limit-shape", "--lambda", "8", "--delta", "0.5", "--dx", "0.5"],
+    ["limit-shape", "--lambda", "8", "--delta", "0.5", "--dt", "0.2"],
+])
+def test_coarse_limit_shape_grid_is_an_error(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "too coarse for the limit shape" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # h * lambda_max(D/2 + rho) >= 2: the CN step matrix is not positive definite
     ["rate", "--lambda", "8", "--dt", "2"],
 ])
 def test_step_too_long_for_the_solver_is_an_error(tmp_path, capsys, argv):

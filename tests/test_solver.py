@@ -17,6 +17,7 @@ from kpztail.grids import (
 from kpztail.solver import (
     CHUNK,
     SolverInstabilityError,
+    _FactoredSpan,
     _Stepper,
     adjoint_solve,
     chaos_series_point,
@@ -133,9 +134,10 @@ def test_stepper_matches_dense_solve():
     want_t = n_mat.T @ np.linalg.solve(m_mat.T, v[1:-1])
     tol = 1e-13 * np.linalg.cond(m_mat) * np.abs(n_mat).sum(axis=1).max() * np.abs(v).max()
     v_before = v.copy()
-    for got, ref in ((stepper.step(v, h, ordinary), want),
-                     (stepper.step_transpose(v, h, ordinary), want_t)):
-        assert got[0] == 0.0 and got[-1] == 0.0
+    got = stepper.step(v, h, ordinary)
+    assert got[0] == 0.0 and got[-1] == 0.0
+    # on the full line the step is its own transpose
+    for ref in (want, want_t):
         assert np.max(np.abs(got[1:-1] - ref)) <= tol
     assert np.array_equal(v, v_before)  # steps leave their input alone
     # h rho_mid / 2 > 1 at a few nodes: M[1, 1] = 1 - (h/2)(rho - 256) is
@@ -146,9 +148,8 @@ def test_stepper_matches_dense_solve():
     strong[[1, 40, 90]] = [384.0, 434.0, 884.0]
     m_mat, _ = _dense_step_matrices(sg, h, strong)
     assert m_mat[0, 0] == 0.0 and np.linalg.eigvalsh(m_mat)[0] < 0
-    for step in (stepper.step, stepper.step_transpose):
-        with pytest.raises(np.linalg.LinAlgError, match=r"h = 0\.015625\b.*lower dt"):
-            step(v, h, strong)
+    with pytest.raises(np.linalg.LinAlgError, match=r"h = 0\.015625\b.*lower dt"):
+        stepper.step(v, h, strong)
 
 
 def test_stepper_singular_matrix_raises():
@@ -159,8 +160,6 @@ def test_stepper_singular_matrix_raises():
     v = np.array([0.0, 1.0, 0.0])
     with pytest.raises(np.linalg.LinAlgError):
         stepper.step(v, 1.0, rho_mid)
-    with pytest.raises(np.linalg.LinAlgError):
-        stepper.step_transpose(v, 1.0, rho_mid)
 
 
 def test_sweeps_raise_on_overflow():
@@ -383,7 +382,7 @@ def test_time_constant_march_matches_materialized(half_width, n_points, t_end, n
     tg = TimeGrid(0.0, t_end, n_steps)
     rho_mid = profile(sg.x)
     stepper = _Stepper(sg)
-    d = stepper._diagonals(tg.dt, stepper.kin_diag + rho_mid)[1]
+    d = stepper._m_diagonal(tg.dt, stepper.kin_diag + rho_mid)
     assert dpttrf(d, stepper._m_offdiag(tg.dt))[2] == 0  # W M is positive definite
 
     constant = SpaceTimeDeviation.time_constant(tg, Potential(sg, rho_mid))
@@ -436,9 +435,9 @@ def test_gradient_pinned():
     assert np.count_nonzero(np.diff(solve_delta_scaled(rho).log_scale)) == 1
     log_zt, partials = log_terminal_and_gradient(rho)
     assert log_zt == 300.85358185019504
-    assert partials[200, 100] == 0.0037377642704649306
+    assert partials[200, 100] == 0.0037377642704649744
     assert hashlib.sha256(np.ascontiguousarray(partials, dtype="<f8").tobytes()).hexdigest() == (
-        "9d954ea657d94ac2c4d85d9569645631d8ba6a7503799d8377214d8ff65c2903")
+        "ee65ecedf0bd846ddbf850c404c0b75995ce7594e0a1d5ff141315c6412b2526")
 
 
 # Time-varying sweeps pinned bitwise.  The step counts straddle the edges of
@@ -490,31 +489,32 @@ def _pinned_outputs(name, nt):
 
 # (name, digest, first digest).  A case's ID carries the digest it was first
 # pinned with, under the partial-pivoting LU kernel, so that a re-pin keeps
-# the test's name; the LDL^T kernel's outputs are within 1e-14 of those.
+# the test's name; the re-pins since (the LDL^T kernel, the step taken as
+# M^-1(2v) - v) moved the outputs by round-off only.
 SWEEP_PINS = [
     ("solve_delta_scaled",
-     "6cba61876e2be1e5f952b238f792caee7564dc286c96785d5aa562b59828b017",
+     "d679aef3b6806656cb80fb8f59bece178980099e02078257de4d41052944ba63",
      "5041616a9c9b627f6149e205a7f8f31d4f89fde4a89bf6eeee927dc13313d009"),
     ("propagate",
-     "4de1303bb1611679c9480a89062fed3cec6c573aab5c3ee6716065069b4eaeb2",
+     "92fdd5ad1eff0c2b2d31126de027f20870cff93563aaa7340cfe07ee70393e2f",
      "110f86c84f75878e38610e3cad8a0bf804c45835f2114ddf9342cbbee03b241b"),
     ("operator_norm",
-     "7843ecd7ecd04b7bc2360fbcb402fb52acdc74dae50bf8534a4bec9dcf92d69f",
+     "0a24ee5c21ba34a2f98d5e889d2554493d8377419c07d5442267f9a11fdac7e1",
      "a06426e040dc36d26649edbba3487d9d22e2ba20607bfdc3daff404263178308"),
     ("operator_norm_subspan",
-     "2a164ee22c28f8f8028446c51265419a56c4237f543b11ba9e555e4a57aa7a72",
+     "be88cef0b62a8332aca0a25bd617f52b04043bbaf81654c1a405f300c9ae974a",
      "b1a8f0a8d7da11563fb724001bf1cbc92f9f235c71457d1b217d9118c2478da4"),
     ("operator_norm_converged",
-     "5eab11f5ce2e6213a06b8d6f80b04149349bf3dc2dc06ae032923e1d26a82eb9",
+     "b987032703dc1dda0f9d7c6f9dff8283534544189221df6808a674d11db8ab66",
      "e13980a4375960b95c5490ccfcc25ae06e7751a65971b5536d9e649d9fc04901"),
     ("operator_norm_start",
-     "20ce5a57c8fd0334a874f181ead4222aca66efb3a7160537f59723c98604977a",
+     "1ee2ee6174ed1fc47949a8f26d8c3a8b583b6f89079759175fddc15246e4950f",
      "5a97f301b3f3a1213e8bcf405b88ba0af2c6e81a54ce3a6e831af47a3fe71407"),
     ("adjoint_solve",
-     "5b5e2a2481a0ee91cde43ef53c9ac3af06252ae76d88f9cb8309164f71fce0e5",
+     "7d75e5c457f9dc8fe9399dbaae617f24166965e384da6f84aa70a24ec386c145",
      "2ced8d9614723f4863cc25e36170a97c87629235c8f4308cda01d668b06c3816"),
     ("log_terminal_and_gradient",
-     "9c0e58442cbc4024033b9c3faeee7d806a622aca05e30e31b8e27e3d83449943",
+     "e8d84bea8a0e703d5bb0760502f8ae144a036db0a8de83df5c26ab6fa25c532c",
      "aa255390b448752d29b8888c7997cd77e09bb57773850b2f92880a7fe8fcc46c"),
 ]
 
@@ -544,6 +544,85 @@ def test_time_varying_singular_step_raises():
         operator_norm(rho, 0.0, 40.0, iters=10)
     with pytest.raises(np.linalg.LinAlgError):
         propagate(rho, 30.0, 40.0, Potential(sg, v))
+
+
+def test_full_line_sweep_transpose_is_the_transpose():
+    # 2 M^-1 - I is symmetric on the pinned subspace, so the transposed
+    # sweeps take the same steps in descending order; the step count crosses
+    # several coefficient chunks
+    sg = SpaceGrid(10.0, 201)
+    nt = 3 * CHUNK + 5
+    tg = TimeGrid(0.0, 0.02 * nt, nt)
+    rho = random_smooth_deviation(rng_from_seed(700), tg, sg)
+    assert np.ptp(rho.values, axis=0).max() > 1e-3
+    rng = rng_from_seed(701)
+    u, v = rng.normal(size=(2, sg.n_points))
+    u[[0, -1]] = v[[0, -1]] = 0.0
+    stepper = _Stepper(sg)
+    lhs = np.dot(u, stepper.sweep(v, rho, 0, nt))
+    assert lhs == pytest.approx(np.dot(stepper.sweep_transpose(u, rho, 0, nt), v), rel=1e-12)
+    # the factored span of operator_norm, on an inner sub-span
+    ks, kt = 7, nt - 3
+    span = _FactoredSpan(stepper, rho, tg.dt, ks, kt)
+    fwd, back = v, u
+    for k in range(ks, kt):
+        fwd = span.step(fwd, k)
+    for k in range(kt - 1, ks - 1, -1):
+        back = span.step(back, k)
+    assert np.dot(u, fwd) == pytest.approx(np.dot(back, v), rel=1e-12)
+    assert np.array_equal(fwd, stepper.sweep(v, rho, ks, kt))
+
+
+def _long_double_march(sg, rho_mid, h, v, steps):
+    """`steps` CN steps M^-1 N of length h on the interior nodes of sg, in
+    np.longdouble: N v, then M^-1 by the Thomas algorithm."""
+    ld = np.longdouble
+    off = ld(h) / 2 * (ld(0.5) / ld(sg.dx) ** 2)
+    a_diag = -ld(1) / ld(sg.dx) ** 2 + rho_mid[1:-1].astype(ld)
+    m_diag, n_diag = 1 - ld(h) / 2 * a_diag, 1 + ld(h) / 2 * a_diag
+    m = sg.n_points - 2
+    x = v[1:-1].astype(ld)
+    c, d = np.empty(m, ld), np.empty(m, ld)
+    for _ in range(steps):
+        b = n_diag * x
+        b[1:] += off * x[:-1]
+        b[:-1] += off * x[1:]
+        c[0], d[0] = -off / m_diag[0], b[0] / m_diag[0]
+        for i in range(1, m):
+            den = m_diag[i] + off * c[i - 1]
+            c[i], d[i] = -off / den, (b[i] + off * d[i - 1]) / den
+        x[-1] = d[-1]
+        for i in range(m - 2, -1, -1):
+            x[i] = d[i] - c[i] * x[i + 1]
+    out = np.zeros(sg.n_points, ld)
+    out[1:-1] = x
+    return out
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="np.longdouble is no wider than float64 here")
+def test_march_matches_long_double_reference():
+    sg = SpaceGrid(4.0, 401)
+    tg = TimeGrid(0.0, 8.0, 400)
+    phi = 1.0 / np.cosh(sg.x) ** 2
+    f = np.exp(-sg.x**2)
+    f[[0, -1]] = 0.0
+    got = propagate(SpaceTimeDeviation.time_constant(tg, Potential(sg, phi)), 0.0, 8.0,
+                    Potential(sg, f)).values
+    want = _long_double_march(sg, phi, tg.dt, f, tg.n_steps)
+    assert got[0] == 0.0 and got[-1] == 0.0
+    big = np.abs(want) > 1e-250 * np.abs(want).max()
+    assert np.max(np.abs(got[big] - want[big]) / np.abs(want[big])) <= 2e-12
+
+
+def test_step_too_long_for_a_time_constant_march_raises():
+    # h lambda_max(D/2 + sech^2) >= 2 at h = 4: the discrete top eigenvalue
+    # sits just above the continuum's 1/2
+    sg = SpaceGrid(20.0, 801)
+    tg = TimeGrid(0.0, 16.0, 4)
+    rho = SpaceTimeDeviation.time_constant(tg, Potential(sg, 1.0 / np.cosh(sg.x) ** 2))
+    with pytest.raises(np.linalg.LinAlgError, match=r"h = 4\b.*lower dt"):
+        solve_delta_scaled(rho)
 
 
 # Half-line marches of even deviations against the full line.  The step
@@ -606,23 +685,10 @@ def test_half_line_step_matches_dense_reflected_matrices():
     m_mat, n_mat = np.eye(n) - 0.5 * h * a, np.eye(n) + 0.5 * h * a
     v = rng.normal(size=hl.n_points)
     v[-1] = 0.0
-    stepper = _Stepper(hl)
-    step = np.linalg.solve(m_mat, n_mat @ v[:-1])
-    step_t = n_mat.T @ np.linalg.solve(m_mat.T, v[:-1])
-    for got, want in ((stepper.step(v, h, rho_mid), step),
-                      (stepper.step_transpose(v, h, rho_mid), step_t)):
-        assert got[-1] == 0.0
-        assert np.max(np.abs(got[:-1] - want)) <= 1e-12 * np.max(np.abs(want))
-    # the sweeps' transposed steps are the Euclidean transpose too
-    tg = TimeGrid(0.0, 3 * h, 3)
-    rho = SpaceTimeDeviation(tg, hl, np.tile(rho_mid, (4, 1)))
-    fwd = stepper.sweep(v, rho, 0, 3)
-    back = stepper.sweep_transpose(v, rho, 0, 3)
-    u = rng.normal(size=hl.n_points)
-    u[-1] = 0.0
-    assert np.dot(u, fwd) == pytest.approx(np.dot(stepper.sweep_transpose(u, rho, 0, 3), v),
-                                           rel=1e-12)
-    assert np.dot(u, back) == pytest.approx(np.dot(stepper.sweep(u, rho, 0, 3), v), rel=1e-12)
+    got = _Stepper(hl).step(v, h, rho_mid)
+    want = np.linalg.solve(m_mat, n_mat @ v[:-1])
+    assert got[-1] == 0.0
+    assert np.max(np.abs(got[:-1] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_half_line_rejected_where_not_validated():
