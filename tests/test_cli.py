@@ -238,6 +238,7 @@ def test_coarse_limit_shape_grid_is_an_error(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     # h * lambda_max(D/2 + rho) >= 2: the CN step matrix is not positive definite
+    ["tail-law", "--lambdas", "8,16", "--dt", "2"],
     ["rate", "--lambda", "8", "--dt", "2"],
 ])
 def test_step_too_long_for_the_solver_is_an_error(tmp_path, capsys, argv):
