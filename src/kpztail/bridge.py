@@ -8,10 +8,10 @@ counter-offset Philox stream, so the estimate is reproducible and
 block-parallel in principle.
 
 Every Monte Carlo path comes from one step kernel, `_bridge_steps`, which
-advances a whole block in place; `sample_bridge`, `_stream_weights` and
-`first_hitting_times` only add their own per-step work.  The normal draws
-are the floor of the cost: for 100k paths x 640 steps they take about 1.35 s
-of the 2.0-2.2 s of CPU time the path integrals cost on a 2-vCPU x86-64 VM.
+advances a whole block of BLOCK_SIZE paths in place; `_stream_weights` and
+`first_hitting_times` only add their own per-step work.  The normal draws are
+the floor of the cost: for 100k paths x 640 steps they take about 1.35 s of
+the 2.0-2.2 s of CPU time the path integrals cost on a 2-vCPU x86-64 VM.
 The rest is whole-block array operations on buffers that are reused from
 step to step.  Measured and rejected: splitting a block's arithmetic into
 chunks of 16k, 8k, 4k or 2k paths (2.3, 2.3, 2.5 and 2.9 s), and threads,
@@ -61,6 +61,7 @@ from .grids import (
 from .solver import DELTA_WARMUP, solve_delta_scaled
 
 _BLOCK_STRIDE = 2**40  # Philox counter offset between path blocks
+BLOCK_SIZE = 50_000  # paths per block; every seeded output depends on it
 SHAPE_T_STEP = 0.05  # limit-shape profile spacing in scaled time, in whole grid steps
 SHAPE_X_STEP = 0.05  # and in scaled position, likewise
 # path-steps (paths x time steps) of one Monte Carlo call; the full criterion 8
@@ -76,24 +77,17 @@ MAX_SHAPE_DX = 0.1
 MAX_SHAPE_DT = 0.05
 
 
-class ConfigurationError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class BridgeConfig:
     n_paths: int = 100_000
     n_time_steps: int = 0  # 0 -> 20 steps per unit duration
     seed: int = 20220920
-    block_size: int = 50_000
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if self.n_time_steps not in (0,) and self.n_time_steps < 2:
             raise ValueError("n_time_steps must be >= 2 (or 0 for automatic)")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
 
     def steps_for(self, duration: float) -> int:
         """Time steps over `duration`; raises ValueError unless it is positive and
@@ -120,7 +114,7 @@ def _iter_blocks(cfg: BridgeConfig):
     done = 0
     index = 0
     while done < cfg.n_paths:
-        size = min(cfg.block_size, cfg.n_paths - done)
+        size = min(BLOCK_SIZE, cfg.n_paths - done)
         yield index, size
         done += size
         index += 1
@@ -156,28 +150,6 @@ def _bridge_steps(rng: np.random.Generator, start: float, end: float, duration: 
             new += z
         yield k, prev, new
         prev, new = new, prev
-
-
-def sample_bridge(start: float, end: float, duration: float, cfg: BridgeConfig) -> np.ndarray:
-    """Paths of a Brownian bridge start->end, shape (n_paths, n_steps + 1).
-
-    Sequential conditional construction: given value b with remaining time r,
-    the next sample has mean b + (end - b) ds / r and variance ds (r - ds)/r.
-    Endpoints are pinned exactly.
-    """
-    n_steps = cfg.steps_for(duration)
-    if cfg.n_paths * (n_steps + 1) > 6e7:
-        raise MemoryError("path matrix too large; lower n_paths or stream blocks instead")
-    out = np.empty((cfg.n_paths, n_steps + 1))
-    row = 0
-    for block_index, size in _iter_blocks(cfg):
-        rows = out[row:row + size]
-        rows[:, 0] = start
-        steps = _bridge_steps(_block_rng(cfg, block_index), start, end, duration, n_steps, size)
-        for k, _, b in steps:
-            rows[:, k + 1] = b
-        row += size
-    return out
 
 
 class _PotentialOnPath:
@@ -227,7 +199,7 @@ def _stream_weights(phi: Potential, duration: float, start: float, end: float,
     """Yield per-block arrays of path integrals int_0^duration phi(bridge)."""
     n_steps = cfg.steps_for(duration)
     ds = duration / n_steps
-    potential = _PotentialOnPath(phi, min(cfg.block_size, cfg.n_paths))
+    potential = _PotentialOnPath(phi, min(BLOCK_SIZE, cfg.n_paths))
     for block_index, size in _iter_blocks(cfg):
         integ = 0.5 * ds * potential(np.full(size, float(start)))
         steps = _bridge_steps(_block_rng(cfg, block_index), start, end, duration, n_steps, size)
@@ -413,13 +385,6 @@ def laplace_v_argmax(beta: float, t: float, x: float) -> float:
     return min(abs(x) / (math.sqrt(2.0 * beta) * t), 1.0)
 
 
-def laplace_v_curvature(beta: float, s: float, t: float, x: float) -> float:
-    """Second s-derivative of V_beta: -x^2 / (t s^3), concave at the interior maximum."""
-    if not s > 0:
-        raise ValueError("curvature needs s > 0")
-    return float(-(x * x) / (t * s**3))
-
-
 def laplace_logmgf(beta: float, t: float, x: float) -> float:
     """Deep-tail rate of E[exp(-beta T)]: V_beta at its maximizing s.
 
@@ -479,7 +444,6 @@ def h_star(t, x):
 class ShapeOptions:
     dx: float = 0.05
     dt: float = 0.01
-    half_width: float | None = None  # None -> automatic lam/delta + 10 sqrt(2 lam)
     mc_t_count: int = 4
     mc_x_count: int = 9
     mc_paths: int = 50_000
@@ -496,8 +460,6 @@ class ShapeOptions:
         if not self.dt <= MAX_SHAPE_DT:
             raise ValueError(f"dt = {self.dt:g} exceeds {MAX_SHAPE_DT}, too coarse for the "
                              "limit shape")
-        if self.half_width is not None and not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
         for name in ("mc_t_count", "mc_x_count", "mc_paths"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -553,12 +515,7 @@ def shape_profile(lam: float, delta: float, backend: str = "pde",
 
 
 def _shape_profile_pde(lam: float, delta: float, opts: ShapeOptions) -> ShapeProfile:
-    need = _required_half_width(lam, delta)
-    half_width = opts.half_width if opts.half_width is not None else need
-    if half_width < need:
-        raise ConfigurationError(
-            f"half_width {half_width} too small for lam={lam}, delta={delta}; need >= {need:.1f}"
-        )
+    half_width = _required_half_width(lam, delta)
     tgrid = standard_time_grid(opts.dt, 2.0 * lam)
     # half-line nodes x time nodes, in floating point so that no count overflows
     nodes = (half_width / opts.dx + 1.0) * (tgrid.n_steps + 1)

@@ -74,6 +74,8 @@ def _args_config(args) -> dict:
 
 def _named_potential(name: str, grid: SpaceGrid, amplitude: float, width: float,
                      center: float) -> Potential:
+    if not 0 < width < math.inf:
+        raise ValueError(f"--width must be positive and finite, got {width:g}")
     x = grid.x
     if name == "sech2":
         return Potential(grid, amplitude / np.cosh((x - center) / width) ** 2)
@@ -395,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--bins", type=int, default=200)
-    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--steps", type=int, default=2000,
+                   help="time steps per path; 0 means 20 per unit duration")
     p.set_defaults(fn=_cmd_hitting_time)
 
     p = sub.add_parser("fk", help="Monte Carlo Feynman-Kac estimate")
@@ -470,7 +473,7 @@ def main(argv=None) -> int:
         args.out = _default_out()
     try:
         return args.fn(args)
-    except (ValueError, bridge.ConfigurationError, solver.SolverInstabilityError) as exc:
+    except (ValueError, solver.SolverInstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -208,9 +208,6 @@ class SpaceTimeDeviation:
         vals = np.broadcast_to(phi.values.copy(), (tgrid.n_steps + 1, phi.grid.n_points))
         return cls(tgrid, phi.grid, vals)
 
-    def slice_potential(self, k: int) -> Potential:
-        return Potential(self.sgrid, self.values[k])
-
 
 @dataclass(frozen=True)
 class Field:

@@ -10,25 +10,16 @@ non-increasing in |x|, and keeps the sorted-pairing proof of the
 Hardy-Littlewood inequality valid shell by shell (Cauchy-Schwarz).  Other
 L^p norms move by at most the within-shell spread.  Fields are expected to
 vanish at the walls, where the trapezoid rule halves the weight.  The
-middle node is x = 0 only on a full SpaceGrid, so every entry point but
-`steiner_increases_z` (which calls `steiner`) refuses a HalfLine.
+middle node is x = 0 only on a full SpaceGrid, so the entry points
+`sym_decr_rearrange`, `steiner`, `hardy_littlewood_check` and `bll_check`
+refuse a HalfLine, and `steiner_increases_z` refuses one through `steiner`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grids import Potential, SpaceTimeDeviation, require_full_line
-
-SD_TOLERANCE = 1e-10
-
-
-@dataclass(frozen=True)
-class SDFlag:
-    is_sd: bool
-    max_violation: float
 
 
 def _rearrange_values(v: np.ndarray) -> np.ndarray:
@@ -61,21 +52,6 @@ def steiner(rho: SpaceTimeDeviation) -> SpaceTimeDeviation:
     for k in range(rho.values.shape[0]):
         out[k] = _rearrange_values(rho.values[k])
     return SpaceTimeDeviation(rho.tgrid, rho.sgrid, out)
-
-
-def is_symmetric_decreasing(f: Potential, tolerance: float = SD_TOLERANCE) -> SDFlag:
-    """Largest symmetry/monotonicity defect over node pairs on |x|."""
-    require_full_line(f.grid, "is_symmetric_decreasing")
-    v = f.values
-    n = v.shape[0]
-    m = (n - 1) // 2
-    sym = float(np.max(np.abs(v - v[::-1]))) if n > 1 else 0.0
-    right = v[m:]
-    mono = float(np.max(np.diff(right))) if right.size > 1 else 0.0
-    left = v[: m + 1]
-    mono = max(mono, float(np.max(np.diff(left[::-1]))) if left.size > 1 else 0.0)
-    violation = max(sym, mono, 0.0)
-    return SDFlag(violation <= tolerance, violation)
 
 
 def hardy_littlewood_check(f: Potential, g: Potential) -> tuple[float, float]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bridge, rearrange, spectral, variational
+from . import bridge, rearrange, spectral
 from .grids import (
     Potential,
     SpaceGrid,

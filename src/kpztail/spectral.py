@@ -149,61 +149,6 @@ def rho_star(grid: SpaceGrid) -> Potential:
     return Potential(grid, 1.0 / np.cosh(grid.x) ** 2)
 
 
-def lipschitz_probe(phi: Potential, psi: Potential, deltas) -> list[float]:
-    """Empirical Lipschitz ratios |F(phi + d psi) - F(phi)| / (d ||psi||_2)."""
-    require_full_line(phi.grid, "lipschitz_probe")
-    psi_norm = l2_norm_space(psi)
-    base = ground_state(phi).value
-    out = []
-    for d in deltas:
-        if psi_norm == 0.0 or d == 0.0:
-            out.append(0.0)
-            continue
-        shifted = ground_state(Potential(phi.grid, phi.values + d * psi.values)).value
-        out.append(abs(shifted - base) / (abs(d) * psi_norm))
-    return out
-
-
-def normalized_rescale(phi: Potential) -> Potential:
-    """alpha^2 phi(alpha x) with alpha = ||phi||_2^(-2/3) (unit L2 norm).
-
-    Cubic-spline resampling keeps the algebraic identity r_star =
-    normalized_rescale(sech^2) intact to ~1e-9 on dx = 0.01 grids.
-    """
-    from scipy.interpolate import CubicSpline
-
-    alpha = l2_norm_space(phi) ** (-2.0 / 3.0)
-    x = phi.grid.x
-    spline = CubicSpline(x, phi.values, extrapolate=False)
-    target = alpha * x
-    vals = alpha**2 * np.nan_to_num(spline(target), nan=0.0)
-    return Potential(phi.grid, vals)
-
-
-def stability_probe(phi: Potential) -> tuple[float, float]:
-    """(defect, distance) pair behind the bound-saturation stability picture.
-
-    defect = 1 - F(phi)/bound(phi); distance is the L2 gap between the
-    normalized rescale of phi and r_star.  Requires phi >= 0 symmetric
-    decreasing with positive norm.
-    """
-    from .rearrange import is_symmetric_decreasing
-
-    require_full_line(phi.grid, "stability_probe")
-    if np.any(phi.values < 0):
-        raise ValueError("stability_probe requires phi >= 0")
-    if l2_norm_space(phi) <= 0:
-        raise ValueError("stability_probe requires a nonzero potential")
-    flag = is_symmetric_decreasing(phi)
-    if not flag.is_sd:
-        raise ValueError(f"phi is not symmetric decreasing (violation {flag.max_violation:.3g})")
-    bound = potbd_bound(phi)
-    defect = 1.0 - ground_state(phi).value / bound
-    rescaled = normalized_rescale(phi)
-    diff = Potential(phi.grid, rescaled.values - r_star(phi.grid).values)
-    return float(defect), float(l2_norm_space(diff))
-
-
 def f_time_integral(rho: SpaceTimeDeviation) -> float:
     """Trapezoid-in-time integral of F(rho(r, .)) over the full time window.
 

@@ -91,6 +91,7 @@ from .spectral import rho_star
 ANDERSON_DEPTH = 2  # differences kept by the KKT fixed-point mixer
 DAMPING = 0.7  # step of the damped KKT map
 INITS = ("rho_star", "half_rho_star", "zeros")
+RATE_HALF_WIDTH = 20.0  # the box [-L, L] of every rate solve
 MAX_RATE_DX = 0.5  # coarsest space step that still resolves sech^2 (unit width)
 # space-time nodes of one solve's full grid, about 64 MB per array; lam = 32
 # on the default grid (dt = 0.01, n = 801) has 6401 x 801 = 5.1e6
@@ -103,7 +104,6 @@ class CertificateUnavailableError(RuntimeError):
 
 @dataclass(frozen=True)
 class RateOptions:
-    half_width: float = 20.0
     n_points: int = 801
     dt: float = 0.01
     init: str = "rho_star"  # rho_star | half_rho_star | zeros
@@ -126,13 +126,13 @@ class RateOptions:
             raise ValueError(f"unknown init {self.init!r}; expected one of {INITS}")
         if not all(z > 0 for z in self.zeta_candidates):
             raise ValueError(f"zeta_candidates must be positive, got {self.zeta_candidates}")
-        if not (self.half_width > 0 and self.n_points >= 3):
-            raise ValueError(f"need half_width > 0 and n_points >= 3, got "
-                             f"{self.half_width} and {self.n_points}")
-        dx = 2.0 * self.half_width / (self.n_points - 1)
+        if not self.n_points >= 3:
+            raise ValueError(f"need n_points >= 3, got {self.n_points}")
+        dx = 2.0 * RATE_HALF_WIDTH / (self.n_points - 1)
         if not dx <= MAX_RATE_DX:
-            raise ValueError(f"space step 2 half_width/(n_points - 1) = {dx:.4g} exceeds "
-                             f"{MAX_RATE_DX}, too coarse to resolve sech^2")
+            raise ValueError(f"space step 2 L/(n_points - 1) = {dx:.4g} with L = "
+                             f"{RATE_HALF_WIDTH:g} exceeds {MAX_RATE_DX}, too coarse to "
+                             "resolve sech^2")
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ class RateReport:
 
 def _problem_grids(lam: float, opts: RateOptions):
     tgrid = standard_time_grid(opts.dt, 2.0 * lam if lam > 0 else 2.0)
-    sgrid = SpaceGrid(opts.half_width, opts.n_points)
+    sgrid = SpaceGrid(RATE_HALF_WIDTH, opts.n_points)
     return tgrid, sgrid
 
 
@@ -416,34 +416,3 @@ def minimizer_distance(report: RateReport) -> float:
     diff = SpaceTimeDeviation(rho.tgrid, rho.sgrid, rho.values - star[None, :])
     scale = 2.0 * report.lam if report.lam > 0 else 2.0
     return float(l2_norm_spacetime(diff) ** 2 / scale)
-
-
-def height_function(rho: SpaceTimeDeviation, lam: float, t: float, x: float) -> float:
-    """h_lam(rho; t, x) = lam^-1 log(lam^(1/2) Z(rho; lam t, lam x)).
-
-    lam t must be a node of rho's time grid and lam x a node of its space
-    grid, up to round-off; otherwise the lookup raises ValueError.
-    """
-    sol = solve_delta_scaled(rho, keep=[rho.tgrid.index_of(lam * t)])
-    return float((0.5 * np.log(lam) + sol.log_at(lam * t, lam * x)) / lam)
-
-
-def equicontinuity_probe(rho1: SpaceTimeDeviation, rho2: SpaceTimeDeviation,
-                         lam: float, t: float, x: float) -> tuple[float, float]:
-    """(|h_lam(rho1) - h_lam(rho2)| at (t, x), continuity modulus).
-
-    The modulus is lam^(-1/2) ||rho1 - rho2|| (1 + lam^-1 ||rho1||^2 +
-    lam^-1 ||rho2||^2); the probe requires nonnegative inputs and a
-    normalized distance below one.
-    """
-    if np.any(rho1.values < 0) or np.any(rho2.values < 0):
-        raise ValueError("equicontinuity probe requires nonnegative deviations")
-    diff = SpaceTimeDeviation(rho1.tgrid, rho1.sgrid, rho1.values - rho2.values)
-    dist = l2_norm_spacetime(diff) / np.sqrt(lam)
-    if not dist < 1.0:
-        raise ValueError(f"normalized distance {dist:.3g} must be below 1")
-    n1 = l2_norm_spacetime(rho1)
-    n2 = l2_norm_spacetime(rho2)
-    modulus = dist * (1.0 + n1**2 / lam + n2**2 / lam)
-    lhs = abs(height_function(rho1, lam, t, x) - height_function(rho2, lam, t, x))
-    return float(lhs), float(modulus)

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import math
 import tracemalloc
@@ -13,7 +12,6 @@ from scipy.optimize import minimize_scalar
 from kpztail import bridge
 from kpztail.bridge import (
     BridgeConfig,
-    ConfigurationError,
     ShapeOptions,
     first_hitting_times,
     fk_estimate,
@@ -24,8 +22,6 @@ from kpztail.bridge import (
     laplace_logmgf,
     laplace_v,
     laplace_v_argmax,
-    laplace_v_curvature,
-    sample_bridge,
     shape_profile,
 )
 from kpztail.grids import (
@@ -48,9 +44,29 @@ def phi20():
     return rho_star(g)
 
 
+def sample_paths(start, end, duration, cfg):
+    """Every path of the bridge kernel start -> end, shape (n_paths, n_steps + 1).
+
+    Rows are filled block by block from `_bridge_steps` on each block's own
+    Philox stream, as the Monte Carlo estimators consume them.
+    """
+    n_steps = cfg.steps_for(duration)
+    out = np.empty((cfg.n_paths, n_steps + 1))
+    row = 0
+    for block_index, size in bridge._iter_blocks(cfg):
+        rows = out[row:row + size]
+        rows[:, 0] = start
+        steps = bridge._bridge_steps(bridge._block_rng(cfg, block_index), start, end, duration,
+                                     n_steps, size)
+        for k, _, b in steps:
+            rows[:, k + 1] = b
+        row += size
+    return out
+
+
 def test_bridge_endpoints_and_moments():
     cfg = BridgeConfig(n_paths=100_000, n_time_steps=100, seed=7)
-    paths = sample_bridge(0.0, 0.0, 1.0, cfg)
+    paths = sample_paths(0.0, 0.0, 1.0, cfg)
     assert np.all(paths[:, 0] == 0.0)
     assert np.all(paths[:, -1] == 0.0)
     mid = paths[:, 50]
@@ -58,7 +74,7 @@ def test_bridge_endpoints_and_moments():
     assert abs(mid.var() - 0.25) <= 3 * se
 
     cfg2 = BridgeConfig(n_paths=50_000, n_time_steps=100, seed=8)
-    paths2 = sample_bridge(2.0, 0.0, 1.0, cfg2)
+    paths2 = sample_paths(2.0, 0.0, 1.0, cfg2)
     s = 0.3
     mean = paths2[:, 30].mean()
     sd = paths2[:, 30].std() / math.sqrt(paths2.shape[0])
@@ -67,10 +83,10 @@ def test_bridge_endpoints_and_moments():
 
 def test_bridge_seed_determinism():
     cfg = BridgeConfig(n_paths=1000, n_time_steps=50, seed=99)
-    a = sample_bridge(0.0, 1.0, 2.0, cfg)
-    b = sample_bridge(0.0, 1.0, 2.0, cfg)
+    a = sample_paths(0.0, 1.0, 2.0, cfg)
+    b = sample_paths(0.0, 1.0, 2.0, cfg)
     assert np.array_equal(a, b)
-    other = sample_bridge(0.0, 1.0, 2.0, BridgeConfig(n_paths=1000, n_time_steps=50, seed=100))
+    other = sample_paths(0.0, 1.0, 2.0, BridgeConfig(n_paths=1000, n_time_steps=50, seed=100))
     assert not np.array_equal(a, other)
 
 
@@ -179,17 +195,6 @@ def test_laplace_v_examples():
     assert laplace_v_argmax(0.5, 1.0, 2.0) == 1.0
 
 
-@given(st.floats(min_value=0.1, max_value=0.9), st.floats(min_value=0.5, max_value=2.0),
-       st.floats(min_value=0.2, max_value=2.0))
-@settings(max_examples=30, deadline=None)
-def test_laplace_curvature_matches_fd(s, t, x):
-    h = 1e-4 * s
-    fd = (laplace_v(0.5, s + h, t, x) - 2 * laplace_v(0.5, s, t, x)
-          + laplace_v(0.5, s - h, t, x)) / h**2
-    assert laplace_v_curvature(0.5, s, t, x) == pytest.approx(fd, rel=1e-4)
-    assert laplace_v_curvature(0.5, s, t, x) < 0  # concave at the maximum
-
-
 def test_laplace_logmgf_values():
     assert laplace_logmgf(0.5, 2.0, 1.0) == -0.75
     assert laplace_logmgf(0.5, 1.0, 2.0) == -0.5
@@ -295,8 +300,9 @@ def test_shape_node_budget_is_checked_before_allocation():
     assert peak < 2**20
     # lam = 32 at the same steps, 2881 x 6401 nodes, fits
     assert 2881 * 6401 <= bridge.SHAPE_NODE_BUDGET
+    # a box of half-width lam / delta = 8e300 is counted in floating point
     with pytest.raises(ValueError, match="exceed the limit-shape budget"):
-        shape_profile(8.0, 0.5, "pde", ShapeOptions(half_width=1e308))
+        shape_profile(8.0, 1e-300, "pde")
 
 
 def test_bridge_path_step_budget():
@@ -311,14 +317,12 @@ def test_bridge_path_step_budget():
 
 
 def test_bridge_config_rejects_bad_sizes():
-    for bad in ({"n_paths": 0}, {"n_time_steps": 1}, {"block_size": 0}, {"block_size": -5}):
+    for bad in ({"n_paths": 0}, {"n_time_steps": 1}):
         with pytest.raises(ValueError):
             BridgeConfig(**bad)
 
 
 def test_shape_profile_config_error():
-    with pytest.raises(ConfigurationError):
-        shape_profile(8.0, 0.5, "pde", ShapeOptions(half_width=20.0))
     with pytest.raises(ValueError):
         shape_profile(8.0, 0.5, "weird")
     with pytest.raises(ValueError):
@@ -332,7 +336,6 @@ def test_shape_profile_config_error():
     ("dt", -0.01, "dt must exceed the delta warm-up time"),
     ("dx", 0.5, "too coarse for the limit shape"),
     ("dt", 0.2, "too coarse for the limit shape"),
-    ("half_width", 0.0, "half_width must be positive"),
     ("mc_t_count", 0, "mc_t_count must be >= 1"),
     ("mc_x_count", 0, "mc_x_count must be >= 1"),
     ("mc_paths", 0, "mc_paths must be >= 1"),
@@ -376,20 +379,34 @@ def test_shape_profile_mc_work_is_checked_before_the_first_call(monkeypatch):
 
 # --- bitwise pins ------------------------------------------------------------
 # Exact outputs recorded before the bridge step kernel was rewritten in place
-# (numpy 2.4, x86-64).  Each run has two full blocks and a short third one, so
-# the per-block buffers and their slicing are covered.  Arrays are pinned by
-# the SHA-256 of their little-endian float64 bytes plus a few exact entries.
+# (numpy 2.4, x86-64).  Blocks of 1000 paths give each run two full blocks and
+# a short third one, so the per-block buffers and their slicing are covered.
+# Arrays are pinned by the SHA-256 of their little-endian float64 bytes plus a
+# few exact entries.
+
+@pytest.fixture
+def blocks_of_1000(monkeypatch):
+    monkeypatch.setattr(bridge, "BLOCK_SIZE", 1000)
+
 
 def _pin_cfg(n_time_steps, seed):
-    return BridgeConfig(n_paths=2500, n_time_steps=n_time_steps, seed=seed, block_size=1000)
+    return BridgeConfig(n_paths=2500, n_time_steps=n_time_steps, seed=seed)
 
 
 def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
 
 
-def test_sample_bridge_pinned():
-    paths = sample_bridge(0.5, -0.25, 1.0, _pin_cfg(8, 41))
+def test_blocks_of_fifty_thousand_paths():
+    # every seeded Monte Carlo output depends on where the blocks split
+    assert bridge.BLOCK_SIZE == 50_000
+    assert list(bridge._iter_blocks(BridgeConfig(n_paths=120_000))) == [
+        (0, 50_000), (1, 50_000), (2, 20_000)]
+
+
+@pytest.mark.usefixtures("blocks_of_1000")
+def test_bridge_paths_pinned():
+    paths = sample_paths(0.5, -0.25, 1.0, _pin_cfg(8, 41))
     assert paths.shape == (2500, 9)
     assert paths[0, 4] == -0.08453809201354456
     assert paths[1000, 1] == 0.7994963760987555
@@ -397,6 +414,7 @@ def test_sample_bridge_pinned():
     assert _digest(paths) == "7adf9bf739cfff15007e112fd6b4e5df60d101e1c2a53db77863e8e1d7017958"
 
 
+@pytest.mark.usefixtures("blocks_of_1000")
 def test_growth_rate_pinned(phi20):
     assert growth_rate(phi20, 4.0, 0.0, _pin_cfg(40, 42), return_diagnostics=True) == (
         0.6609262766215808,
@@ -407,6 +425,7 @@ def test_growth_rate_pinned(phi20):
     assert growth_rate(phi20, 4.0, 1.2, _pin_cfg(40, 43)) == 0.5915884118766058
 
 
+@pytest.mark.usefixtures("blocks_of_1000")
 def test_first_hitting_times_pinned():
     hits = first_hitting_times(1.0, 2.0, _pin_cfg(50, 44))
     assert hits.shape == (2500,)
@@ -416,14 +435,15 @@ def test_first_hitting_times_pinned():
     assert _digest(hits) == "3335d2c383cdbf0d7281de92340c7cbba7a83b98c129af10b6c2d7d23ba70966"
 
 
+@pytest.mark.usefixtures("blocks_of_1000")
 def test_fk_estimate_pinned(phi20):
     assert fk_estimate(phi20, 2.0, 0.0, 0.5, _pin_cfg(20, 45)) == (
         1.242159512953145, 0.005948025577972007)
 
 
-def test_shape_profile_mc_pinned(monkeypatch):
-    # shape_profile builds its own BridgeConfig; force three blocks per point
-    monkeypatch.setattr(bridge, "BridgeConfig", functools.partial(BridgeConfig, block_size=1000))
+@pytest.mark.usefixtures("blocks_of_1000")
+def test_shape_profile_mc_pinned():
+    # three blocks per point, as above
     prof = shape_profile(4.0, 0.5, "mc", ShapeOptions(mc_t_count=2, mc_x_count=2, mc_paths=2500))
     assert prof.h_values.tolist() == [[-4.074867739249011, -4.075054232738474],
                                       [-0.9464168045726846, -0.9324713933558271]]

@@ -324,6 +324,19 @@ def test_bad_values_of_other_subcommands_are_errors(tmp_path, capsys, argv, mess
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("width", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["spectral"],
+    ["fk", "--phi", "gaussian", "--duration", "1", "--paths", "100"],
+], ids=["spectral", "fk"])
+def test_bad_width_is_an_error(tmp_path, capsys, argv, width):
+    # checked before the potential divides by it
+    assert main([*argv, "--width", width, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: --width must be positive and finite, got {width}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [["spectral"], ["rate", "--lambda", "1"],
                                   ["tail-law", "--lambdas", "4"], ["figure1"], ["selftest"]])
 def test_seed_only_where_it_is_read(capsys, argv):

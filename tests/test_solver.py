@@ -12,7 +12,6 @@ from kpztail.grids import (
     SpaceTimeDeviation,
     TimeGrid,
     heat_kernel,
-    l2_norm_space,
 )
 from kpztail.solver import (
     CHUNK,

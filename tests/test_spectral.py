@@ -17,13 +17,10 @@ from kpztail.spectral import (
     f_time_integral,
     gns_ratio,
     ground_state,
-    lipschitz_probe,
-    normalized_rescale,
     potbd_bound,
     r_star,
     rho_star,
     rayleigh,
-    stability_probe,
 )
 from kpztail.testing import random_smooth_deviation, random_smooth_potential, rng_from_seed
 
@@ -114,47 +111,9 @@ def test_optimizer_profiles(grid20):
     assert l2_norm_space(rs) == pytest.approx(1.0, abs=1e-6)
     rst = rho_star(grid20)
     assert l2_norm_space(rst) ** 2 == pytest.approx(4.0 / 3.0, abs=1e-6)
-    # r_star is the unit-norm rescale of sech^2
-    rescaled = normalized_rescale(rst)
-    assert np.max(np.abs(rescaled.values - rs.values)) <= 1e-8
-
-
-def test_lipschitz_probe(grid20, sech2_20):
-    ratios = lipschitz_probe(sech2_20, sech2_20, [0.2, 0.1, 0.05])
-    for r in ratios:
-        assert 0.5 <= r <= 0.8
-    spread = (max(ratios) - min(ratios)) / min(ratios)
-    assert spread <= 0.10
-
-    zeros = lipschitz_probe(sech2_20, Potential(grid20, np.zeros(grid20.n_points)), [0.1, 0.05])
-    assert zeros == [0.0, 0.0]
-
-    flat = Potential(grid20, np.zeros(grid20.n_points))
-    ind = Potential(grid20, (np.abs(grid20.x) <= 1.0).astype(float))
-    for r in lipschitz_probe(flat, ind, [0.2, 0.1]):
-        assert 0.0 <= r <= 1.0
-
-
-def test_stability_probe(grid20, sech2_20):
-    defect, distance = stability_probe(sech2_20)
-    assert defect <= 1e-4
-    assert distance <= 1e-3
-
-    wide = Potential(grid20, 1.0 / np.cosh(grid20.x / 2.0) ** 2)
-    d2, dist2 = stability_probe(wide)
-    assert d2 > 1e-4 and dist2 > 1e-3
-
-    gauss = np.exp(-grid20.x**2 / 2.0)
-    prev_defect, prev_dist = -1.0, -1.0
-    for s in (0.0, 0.25, 0.5):
-        phi = Potential(grid20, (1 - s) * sech2_20.values + s * gauss)
-        d, dist = stability_probe(phi)
-        assert d > prev_defect and dist > prev_dist
-        prev_defect, prev_dist = d, dist
-
-    shifted = Potential(grid20, 1.0 / np.cosh(grid20.x - 1.0) ** 2)
-    with pytest.raises(ValueError):
-        stability_probe(shifted)
+    # r_star is the unit-norm rescale alpha^2 sech^2(alpha x), alpha = ||sech^2||^(-2/3)
+    alpha = l2_norm_space(rst) ** (-2.0 / 3.0)
+    assert np.max(np.abs(alpha**2 / np.cosh(alpha * grid20.x) ** 2 - rs.values)) <= 1e-8
 
 
 def test_scaling_invariance_of_f():
@@ -202,9 +161,7 @@ _HALF_SECH2 = Potential(_HALF, 1.0 / np.cosh(_HALF.x) ** 2)
 @pytest.mark.parametrize("call", [
     lambda: ground_state(_HALF_SECH2),
     lambda: f_time_integral(SpaceTimeDeviation.time_constant(TimeGrid(0.0, 1.0, 4), _HALF_SECH2)),
-    lambda: lipschitz_probe(_HALF_SECH2, _HALF_SECH2, [0.1]),
-    lambda: stability_probe(_HALF_SECH2),
-], ids=["ground_state", "f_time_integral", "lipschitz_probe", "stability_probe"])
+], ids=["ground_state", "f_time_integral"])
 def test_half_line_rejected(call):
     with pytest.raises(ValueError, match="half line"):
         call()

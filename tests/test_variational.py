@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from dataclasses import replace
 
@@ -6,7 +5,6 @@ import numpy as np
 import pytest
 
 from kpztail.grids import (
-    Potential,
     SpaceGrid,
     SpaceTimeDeviation,
     TimeGrid,
@@ -17,12 +15,11 @@ from kpztail.solver import solve_delta
 from kpztail.spectral import rho_star
 from kpztail.testing import rng_from_seed
 from kpztail.variational import (
-    CertificateUnavailableError,
+    RATE_HALF_WIDTH,
     RATE_NODE_BUDGET,
     _AndersonMixer,
     RateOptions,
     RateReport,
-    equicontinuity_probe,
     minimizer_distance,
     rate_phi,
     terminal_gradient,
@@ -97,7 +94,7 @@ def test_rate_report_invariants(report_lam1):
     assert rep.iterations > 0
     assert np.all(rep.minimizer.values >= 0.0)
     # the half-line iterate comes back as its exact mirror on the full grid
-    assert rep.minimizer.sgrid == SpaceGrid(QUICK.half_width, QUICK.n_points)
+    assert rep.minimizer.sgrid == SpaceGrid(RATE_HALF_WIDTH, QUICK.n_points)
     assert np.array_equal(rep.minimizer.values, rep.minimizer.values[:, ::-1])
 
 
@@ -144,45 +141,6 @@ def test_minimizer_distance(report_lam1):
     assert minimizer_distance(zero) == pytest.approx(4.0 / 3.0, abs=1e-4)
 
 
-def test_equicontinuity_probe_basics():
-    sg = SpaceGrid(20.0, 401)
-    lam = 4.0
-    tg = TimeGrid(0.0, 2.0 * lam, 400)
-    rho1 = SpaceTimeDeviation.time_constant(tg, rho_star(sg))
-    lhs, modulus = equicontinuity_probe(rho1, rho1, lam, 2.0, 0.0)
-    assert lhs == 0.0
-
-    ratios = []
-    for delta in (0.2, 0.1, 0.05):
-        rho2 = SpaceTimeDeviation(tg, sg, (1 + delta) * rho1.values)
-        lhs, modulus = equicontinuity_probe(rho1, rho2, lam, 2.0, 0.0)
-        ratios.append(lhs / modulus)
-    assert max(ratios) <= 1.0  # bounded family, no universal constant asserted
-
-    with pytest.raises(ValueError):
-        big = SpaceTimeDeviation(tg, sg, 10.0 + rho1.values)
-        equicontinuity_probe(rho1, big, lam, 2.0, 0.0)
-    with pytest.raises(ValueError):
-        neg = SpaceTimeDeviation(tg, sg, -rho1.values)
-        equicontinuity_probe(rho1, neg, lam, 2.0, 0.0)
-
-
-def test_equicontinuity_decay_in_lam():
-    # rho's differing on a fixed window: the height gap decays with lam at
-    # least as fast as 1/sqrt(lam)
-    sg = SpaceGrid(20.0, 401)
-    lhs_vals = []
-    for lam in (4.0, 8.0, 16.0):
-        tg = TimeGrid(0.0, 2.0 * lam, int(200 * lam))
-        rho1 = SpaceTimeDeviation.time_constant(tg, rho_star(sg))
-        bump = np.where(tg.times[:, None] <= 2.0, 0.5 * rho_star(sg).values[None, :], 0.0)
-        rho2 = SpaceTimeDeviation(tg, sg, rho1.values + bump)
-        lhs, _ = equicontinuity_probe(rho1, rho2, lam, 2.0, 0.0)
-        lhs_vals.append(lhs)
-    for a, b in zip(lhs_vals, lhs_vals[1:]):
-        assert b <= a / math.sqrt(2.0) * 1.2
-
-
 def test_rate_phi_rejects_out_of_range():
     with pytest.raises(ValueError):
         rate_phi(40.0, QUICK)
@@ -204,7 +162,6 @@ def test_rate_phi_rejects_out_of_range():
     ("n_points", 3, "too coarse to resolve sech"),  # dx = 20
     ("n_points", 79, "too coarse to resolve sech"),  # dx = 0.513
     ("n_points", 1, "n_points >= 3"),
-    ("half_width", 0.0, "half_width > 0"),
 ])
 def test_rate_options_reject_bad_values(field, value, message):
     with pytest.raises(ValueError, match=message):
