@@ -28,11 +28,12 @@ from .grids import (
     SpaceGrid,
     format_value,
     l2_norm_space,
+    rows_csv,
     samples_to_csv,
     standard_grid,
 )
 from .testing import random_smooth_potential, rng_from_seed
-from .variational import RateOptions, check_node_budget, minimizer_distance, rate_phi
+from .variational import RateOptions, rate_phi
 
 
 def _default_out() -> str:
@@ -76,13 +77,17 @@ def _named_potential(name: str, grid: SpaceGrid, amplitude: float, width: float,
                      center: float) -> Potential:
     if not 0 < width < math.inf:
         raise ValueError(f"--width must be positive and finite, got {width:g}")
-    x = grid.x
-    if name == "sech2":
-        return Potential(grid, amplitude / np.cosh((x - center) / width) ** 2)
+    for flag, value in (("--amplitude", amplitude), ("--center", center)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value:g}")
     if name == "rstar":
         return spectral.r_star(grid)
-    if name == "gaussian":
-        return Potential(grid, amplitude * np.exp(-((x - center) / width) ** 2))
+    with np.errstate(over="ignore"):  # far from the center the bump is 0, even where y overflows
+        y = (grid.x - center) / width
+        if name == "sech2":
+            return Potential(grid, amplitude / np.cosh(y) ** 2)
+        if name == "gaussian":
+            return Potential(grid, amplitude * np.exp(-y**2))
     raise ValueError(f"unknown potential {name!r}")
 
 
@@ -189,24 +194,11 @@ def _cmd_tail_law(args) -> int:
     if any(not 0 < v <= 32 for v in lams):  # rate_phi's depths, without lam = 0
         print("error: --lambdas entries must lie in (0, 32]", file=sys.stderr)
         return 2
-    opts = _rate_options(args)
-    for lam in lams:  # refuse an over-budget depth before solving any
-        check_node_budget(lam, opts)
-    rows = []
-    ratios = []
-    all_converged = True
-    for lam in lams:
-        rep = rate_phi(lam, opts)
-        all_converged &= rep.converged
-        dist = minimizer_distance(rep) if rep.converged else float("nan")
-        ratios.append(rep.scaled_ratio)
-        rows.append((lam, rep.phi_hat, rep.scaled_ratio,
-                     rep.upper_certificate / lam**1.5, dist, int(rep.converged)))
-    trend_ok = all(b <= a * 1.05 for a, b in zip(ratios, ratios[1:])) if len(ratios) > 1 else True
-    bracket_ok = all(1.0 <= r[2] <= r[3] + 1e-9 for r in rows)
-    table = "\n".join(
-        ["lambda,phi_hat,ratio,certificate_ratio,minimizer_distance,converged"]
-        + [",".join(format_value(float(v)) for v in row) for row in rows]) + "\n"
+    rows = [row for row, _, _ in selftest.tail_law(lams, _rate_options(args))]
+    ratios = [row.ratio for row in rows]
+    all_converged = all(row.converged for row in rows)
+    trend_ok = all(b <= a * 1.05 for a, b in zip(ratios, ratios[1:]))
+    bracket_ok = all(1.0 <= row.ratio <= row.certificate_ratio + 1e-9 for row in rows)
     summary = {
         "lambdas": lams,
         "ratios": ratios,
@@ -216,10 +208,11 @@ def _cmd_tail_law(args) -> int:
     }
     passed = all_converged and trend_ok and bracket_ok
     _write_artifacts(Path(args.out), "tail-law", _args_config(args),
-                     {"tail_law.csv": table, "tail_law.json": _json_body(summary)}, passed)
+                     {"tail_law.csv": rows_csv(selftest.TAIL_LAW_HEADER, rows),
+                      "tail_law.json": _json_body(summary)}, passed)
     for row in rows:
-        print(f"lambda={row[0]:g}: ratio={row[2]:.4f} certificate={row[3]:.4f} "
-              f"distance={row[4]:.4f} converged={bool(row[5])}")
+        print(f"lambda={row.lam:g}: ratio={row.ratio:.4f} certificate={row.certificate_ratio:.4f} "
+              f"distance={row.minimizer_distance:.4f} converged={bool(row.converged)}")
     print(f"tail-law: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1
 
@@ -249,18 +242,13 @@ def _cmd_hitting_time(args) -> int:
     horizon = args.lam * args.t
     s_vals = np.linspace(horizon / 400, horizon * (1 - 1e-6), 400)
     dens = bridge.hitting_density(s_vals, args.t, args.x, args.lam)
-    table = "\n".join(["s,density"] + [
-        f"{format_value(s)},{format_value(d)}" for s, d in zip(s_vals, dens)]) + "\n"
     cfg = bridge.BridgeConfig(n_paths=args.paths, n_time_steps=args.steps, seed=args.seed)
     hits = bridge.first_hitting_times(args.lam * args.x, horizon, cfg)
     edges = np.linspace(0.0, horizon, args.bins + 1)
     counts, _ = np.histogram(hits, bins=edges)
-    hist = "\n".join(["bin_lo,bin_hi,count"] + [
-        f"{format_value(edges[b])},{format_value(edges[b+1])},{counts[b]}"
-        for b in range(args.bins)]) + "\n"
     _write_artifacts(Path(args.out), "hitting-time", _args_config(args), {
-        "hitting_density.csv": table,
-        "hitting_histogram.csv": hist,
+        "hitting_density.csv": rows_csv("s,density", zip(s_vals, dens)),
+        "hitting_histogram.csv": rows_csv("bin_lo,bin_hi,count", zip(edges, edges[1:], counts)),
     })
     print(f"hitting-time: {args.paths} paths over [0, {horizon:g}], "
           f"{args.bins} bins written")
@@ -290,11 +278,9 @@ def _cmd_figure1(args) -> int:
     ts = (0.5, 1.0, 1.5)
     xs = 0.01 * (np.arange(601) - 300)  # exact zero at the center node
     header = "x," + ",".join(f"h_star_t{format_value(t)}" for t in ts)
-    lines = [header]
-    for x, vals in zip(xs, bridge.h_star(np.array(ts), xs[:, None])):
-        lines.append(",".join([format_value(float(x))] + [format_value(v) for v in vals]))
+    rows = ((x, *vals) for x, vals in zip(xs, bridge.h_star(np.array(ts), xs[:, None])))
     _write_artifacts(Path(args.out), "figure1", _args_config(args),
-                     {"figure1.csv": "\n".join(lines) + "\n"})
+                     {"figure1.csv": rows_csv(header, rows)})
     print(f"figure1: wrote {len(xs)} rows; h*(1, 0) = {bridge.h_star(1.0, 0.0)}")
     return 0
 

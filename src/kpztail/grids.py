@@ -10,7 +10,6 @@ holds the nodes x >= 0 of such a grid and stands for functions even in x.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,17 +260,18 @@ def format_value(v: float) -> str:
     return f"{v:.12g}"
 
 
+def rows_csv(header: str, rows) -> str:
+    """CSV body: the header line, then one line per row; floats as `format_value`
+    writes them, every other value as `str` does."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(format_value(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def samples_to_csv(tgrid: TimeGrid, sgrid: SpaceGrid, values: np.ndarray,
                    t_stride: int = 1, x_stride: int = 1) -> str:
     """CSV body with header 't,x,value', one row per kept (time, space) node."""
-    buf = io.StringIO()
-    buf.write("t,x,value\n")
-    times = tgrid.times
-    xs = sgrid.x
-    for k in range(0, len(times), t_stride):
-        row = values[k]
-        ts = format_value(times[k])
-        for i in range(0, len(xs), x_stride):
-            buf.write(f"{ts},{format_value(xs[i])},{format_value(row[i])}\n")
-    return buf.getvalue()
-
+    rows = ((t, x, v) for t, row in zip(tgrid.times[::t_stride], values[::t_stride])
+            for x, v in zip(sgrid.x[::x_stride], row[::x_stride]))
+    return rows_csv("t,x,value", rows)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,15 +21,16 @@ from .grids import (
     SpaceGrid,
     SpaceTimeDeviation,
     TimeGrid,
-    format_value,
     heat_kernel,
     l2_norm_space,
+    rows_csv,
     standard_grid,
 )
 from .solver import chaos_series_point, operator_norm, solve_delta, solve_delta_at
 from .testing import random_smooth_deviation, random_smooth_potential, rng_from_seed
 from .variational import (
     RateOptions,
+    check_node_budget,
     minimizer_distance,
     rate_phi,
     terminal_gradient,
@@ -101,25 +103,39 @@ QUICK = Profile(
 )
 
 
-def _rows_csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(format_value(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+class _Checks:
+    """One criterion's CSV rows and failure messages, gathered into a CheckResult."""
+
+    def __init__(self):
+        self.rows, self.failures = [], []
+
+    def require(self, ok, failure: str) -> None:
+        if not ok:
+            self.failures.append(failure)
+
+    def record(self, name, value, target, tol, ok, failure: str | None = None) -> None:
+        """Add a name,value,target,tol,pass row; keep `failure`, if given, unless ok."""
+        self.rows.append((name, float(value), float(target), float(tol), int(ok)))
+        if failure is not None:
+            self.require(ok, failure)
+
+    def result(self, criterion: int, name: str, detail: str, filename: str,
+               header: str = "name,value,target,tol,pass") -> CheckResult:
+        if self.failures:
+            detail += " | FAIL: " + "; ".join(self.failures)
+        return CheckResult(criterion, name, not self.failures, detail,
+                           {filename: rows_csv(header, self.rows)})
 
 
 # --- criterion 1: exact constants --------------------------------------------
 
 def check_exact_constants(profile: Profile) -> CheckResult:
     grid = standard_grid(0.01, 20.0)
-    rows = []
-    failures = []
+    checks = _Checks()
 
     def record(name, value, target, tol):
-        ok = abs(value - target) <= tol
-        rows.append((name, float(value), float(target), float(tol), int(ok)))
-        if not ok:
-            failures.append(f"{name}: {value!r} vs {target!r} (tol {tol})")
+        checks.record(name, value, target, tol, abs(value - target) <= tol,
+                      f"{name}: {value!r} vs {target!r} (tol {tol})")
 
     record("norm_sq_sech2", l2_norm_space(spectral.rho_star(grid)) ** 2, 4.0 / 3.0, 1e-6)
     record("norm_r_star", l2_norm_space(spectral.r_star(grid)), 1.0, 1e-6)
@@ -130,30 +146,26 @@ def check_exact_constants(profile: Profile) -> CheckResult:
     record("logmgf_half_2_1", bridge.laplace_logmgf(0.5, 2.0, 1.0), -0.75, 0.0)
     record("logmgf_half_1_2", bridge.laplace_logmgf(0.5, 1.0, 2.0), -0.5, 0.0)
 
-    detail = "all exact constants hit" if not failures else "; ".join(failures)
-    return CheckResult(1, "exact constants", not failures,
-                       detail, {"constants.csv": _rows_csv("name,value,target,tol,pass", rows)})
+    detail = "exact constants missed" if checks.failures else "all exact constants hit"
+    return checks.result(1, "exact constants", detail, "constants.csv")
 
 
 # --- criterion 2: spectral ----------------------------------------------------
 
 def check_spectral(profile: Profile) -> CheckResult:
-    failures = []
-    rows = []
+    checks = _Checks()
     grid = standard_grid(0.01, 20.0)
     f_sech2 = spectral.ground_state(spectral.rho_star(grid)).value
-    rows.append(("F_sech2", float(f_sech2), 0.5, 1e-4, int(abs(f_sech2 - 0.5) <= 1e-4)))
-    if abs(f_sech2 - 0.5) > 1e-4:
-        failures.append(f"F(sech^2) = {f_sech2}")
+    checks.record("F_sech2", f_sech2, 0.5, 1e-4, abs(f_sech2 - 0.5) <= 1e-4,
+                  f"F(sech^2) = {f_sech2}")
 
     for alpha in (0.5, 2.0):
         phi = Potential(grid, alpha**2 / np.cosh(alpha * grid.x) ** 2)
         f = spectral.ground_state(phi).value
         target = 0.5 * alpha**2
-        ok = abs(f - target) <= 1e-3 * target
-        rows.append((f"F_scaled_alpha_{alpha}", float(f), float(target), 1e-3 * target, int(ok)))
-        if not ok:
-            failures.append(f"scaling alpha={alpha}: F={f} vs {target}")
+        checks.record(f"F_scaled_alpha_{alpha}", f, target, 1e-3 * target,
+                      abs(f - target) <= 1e-3 * target,
+                      f"scaling alpha={alpha}: F={f} vs {target}")
 
     bound_grid = standard_grid(0.02, 20.0)
     rng = rng_from_seed(SEED + 2)
@@ -164,16 +176,12 @@ def check_spectral(profile: Profile) -> CheckResult:
         b = spectral.potbd_bound(phi)
         margin = f - b
         worst_margin = max(worst_margin, margin)
-        if margin > 1e-6:
-            failures.append(f"bound violated on trial {i}: F-bound = {margin}")
-    rows.append(("worst_F_minus_bound", float(worst_margin), 0.0, 1e-6, int(worst_margin <= 1e-6)))
+        checks.require(margin <= 1e-6, f"bound violated on trial {i}: F-bound = {margin}")
+    checks.record("worst_F_minus_bound", worst_margin, 0.0, 1e-6, worst_margin <= 1e-6)
 
     detail = (f"F(sech^2)={f_sech2:.6f}, worst F-bound margin {worst_margin:.3g} "
               f"over {profile.bound_trials} random potentials")
-    if failures:
-        detail += " | FAIL: " + "; ".join(failures)
-    return CheckResult(2, "spectral functional", not failures, detail,
-                       {"spectral.csv": _rows_csv("name,value,target,tol,pass", rows)})
+    return checks.result(2, "spectral functional", detail, "spectral.csv")
 
 
 # --- criterion 3: solver consistency ------------------------------------------
@@ -183,8 +191,7 @@ def _zero_deviation(tgrid, sgrid):
 
 
 def check_solver(profile: Profile) -> CheckResult:
-    failures = []
-    rows = []
+    checks = _Checks()
 
     # delta data with rho = 0 reproduces the heat kernel
     sgrid = SpaceGrid(20.0, 8001)
@@ -198,9 +205,8 @@ def check_solver(profile: Profile) -> CheckResult:
         exact = heat_kernel(t, sgrid.x[mask])
         err = np.max(np.abs(fld.values[k][mask] - exact)) / np.max(exact)
         worst = max(worst, float(err))
-    rows.append(("heat_kernel_suprel", worst, 0.0, 1e-5, int(worst <= 1e-5)))
-    if worst > 1e-5:
-        failures.append(f"heat-kernel error {worst:.3g}")
+    checks.record("heat_kernel_suprel", worst, 0.0, 1e-5, worst <= 1e-5,
+                  f"heat-kernel error {worst:.3g}")
 
     # kernel series vs Crank-Nicolson
     cs_grid = standard_grid(0.01, 10.0)
@@ -209,10 +215,9 @@ def check_solver(profile: Profile) -> CheckResult:
         cs_tgrid, Potential(cs_grid, 0.1 / np.cosh(cs_grid.x) ** 2))
     z_cn = solve_delta_at(rho_small, 1.0, 0.0)
     z_series = chaos_series_point(rho_small, 1.0, 0.0, order=6)
-    rel = abs(z_series - z_cn) / abs(z_cn)
-    rows.append(("chaos_vs_cn_rel", float(rel), 0.0, 1e-3, int(rel <= 1e-3)))
-    if rel > 1e-3:
-        failures.append(f"series vs CN {rel:.3g}")
+    series_rel = abs(z_series - z_cn) / abs(z_cn)
+    checks.record("chaos_vs_cn_rel", series_rel, 0.0, 1e-3, series_rel <= 1e-3,
+                  f"series vs CN {series_rel:.3g}")
 
     # diffusive scaling identity at lam = 4
     lam = 4.0
@@ -225,10 +230,9 @@ def check_solver(profile: Profile) -> CheckResult:
     rho_long = SpaceTimeDeviation.time_constant(
         tg_long, Potential(grid_s, 1.0 / np.cosh(grid_s.x) ** 2))
     rhs = np.sqrt(lam) * solve_delta_at(rho_long, 2.0 * lam, 0.0)
-    rel = abs(lhs - rhs) / abs(rhs)
-    rows.append(("scaling_identity_rel", float(rel), 0.0, 1e-3, int(rel <= 1e-3)))
-    if rel > 1e-3:
-        failures.append(f"scaling identity {rel:.3g}")
+    scaling_rel = abs(lhs - rhs) / abs(rhs)
+    checks.record("scaling_identity_rel", scaling_rel, 0.0, 1e-3, scaling_rel <= 1e-3,
+                  f"scaling identity {scaling_rel:.3g}")
 
     # adjoint gradient against central finite differences, interior window
     fd_grid = standard_grid(0.05, 10.0)
@@ -252,23 +256,18 @@ def check_solver(profile: Profile) -> CheckResult:
         an = grad.values[k, i] * dt * dx
         rel = abs(fd - an) / max(abs(fd), 1e-12)
         worst_fd = max(worst_fd, float(rel))
-    rows.append(("gradient_fd_rel", worst_fd, 0.0, 1e-3, int(worst_fd <= 1e-3)))
-    if worst_fd > 1e-3:
-        failures.append(f"gradient FD mismatch {worst_fd:.3g}")
+    checks.record("gradient_fd_rel", worst_fd, 0.0, 1e-3, worst_fd <= 1e-3,
+                  f"gradient FD mismatch {worst_fd:.3g}")
 
-    detail = (f"heat {worst:.2e}, series {rows[1][1]:.2e}, scaling {rows[2][1]:.2e}, "
+    detail = (f"heat {worst:.2e}, series {series_rel:.2e}, scaling {scaling_rel:.2e}, "
               f"gradient {worst_fd:.2e}")
-    if failures:
-        detail += " | FAIL: " + "; ".join(failures)
-    return CheckResult(3, "solver consistency", not failures, detail,
-                       {"solver.csv": _rows_csv("name,value,target,tol,pass", rows)})
+    return checks.result(3, "solver consistency", detail, "solver.csv")
 
 
 # --- criterion 4: operator-norm bound ------------------------------------------
 
 def check_operator_norm(profile: Profile) -> CheckResult:
-    failures = []
-    rows = []
+    checks = _Checks()
 
     # tightness at the sech^2 profile on the wide grid
     grid = standard_grid(0.01, 20.0)
@@ -276,10 +275,8 @@ def check_operator_norm(profile: Profile) -> CheckResult:
     rho_s = SpaceTimeDeviation.time_constant(tg, spectral.rho_star(grid))
     res = operator_norm(rho_s, 0.0, 2.0, iters=80)
     e1 = math.e
-    ok = 0.9 * e1 <= res.value <= e1 * (1 + 1e-3)
-    rows.append(("norm_sech2", res.value, e1, 0.1 * e1, int(ok)))
-    if not ok:
-        failures.append(f"sech^2 norm {res.value:.4f} outside [0.9e, e(1+1e-3)]")
+    checks.record("norm_sech2", res.value, e1, 0.1 * e1, 0.9 * e1 <= res.value <= e1 * (1 + 1e-3),
+                  f"sech^2 norm {res.value:.4f} outside [0.9e, e(1+1e-3)]")
 
     # randomized bound checks on a throughput grid
     small = SpaceGrid(10.0, 201)
@@ -292,23 +289,18 @@ def check_operator_norm(profile: Profile) -> CheckResult:
         bound = math.exp(spectral.f_time_integral(rho))
         ratio = est / (bound * (1 + 1e-3))
         worst = max(worst, ratio)
-        if ratio > 1.0:
-            failures.append(f"trial {i}: norm {est:.5f} > bound {bound:.5f}")
-    rows.append(("worst_norm_over_bound", float(worst), 1.0, 0.0, int(worst <= 1.0)))
+        checks.require(ratio <= 1.0, f"trial {i}: norm {est:.5f} > bound {bound:.5f}")
+    checks.record("worst_norm_over_bound", worst, 1.0, 0.0, worst <= 1.0)
 
     detail = (f"sech^2 norm {res.value:.4f} (target e = {e1:.4f}); worst norm/bound "
               f"ratio {worst:.5f} over {profile.norm_trials} random fields")
-    if failures:
-        detail += " | FAIL: " + "; ".join(failures)
-    return CheckResult(4, "operator-norm bound", not failures, detail,
-                       {"operator_norm.csv": _rows_csv("name,value,target,tol,pass", rows)})
+    return checks.result(4, "operator-norm bound", detail, "operator_norm.csv")
 
 
 # --- criterion 5: rearrangement -------------------------------------------------
 
 def check_rearrangement(profile: Profile) -> CheckResult:
-    failures = []
-    rows = []
+    checks = _Checks()
     grid = SpaceGrid(10.0, 401)
     rng = rng_from_seed(SEED + 5)
 
@@ -321,12 +313,10 @@ def check_rearrangement(profile: Profile) -> CheckResult:
         fss = rearrange.sym_decr_rearrange(fs)
         if not np.array_equal(fss.values, fs.values):
             idempotent = False
-    rows.append(("worst_norm_change", float(worst_norm), 0.0, 1e-10, int(worst_norm <= 1e-10)))
-    rows.append(("idempotent_bitwise", float(idempotent), 1.0, 0.0, int(idempotent)))
-    if worst_norm > 1e-10:
-        failures.append(f"norm preservation {worst_norm:.3g}")
-    if not idempotent:
-        failures.append("rearrangement not bitwise idempotent")
+    checks.record("worst_norm_change", worst_norm, 0.0, 1e-10, worst_norm <= 1e-10,
+                  f"norm preservation {worst_norm:.3g}")
+    checks.record("idempotent_bitwise", idempotent, 1.0, 0.0, idempotent,
+                  "rearrangement not bitwise idempotent")
 
     worst_hl = -np.inf
     for _ in range(profile.hl_trials):
@@ -334,9 +324,8 @@ def check_rearrangement(profile: Profile) -> CheckResult:
         g = random_smooth_potential(rng, grid, nonneg=True)
         lhs, rhs = rearrange.hardy_littlewood_check(f, g)
         worst_hl = max(worst_hl, lhs - rhs)
-    rows.append(("worst_hl_excess", float(worst_hl), 0.0, 1e-9, int(worst_hl <= 1e-9)))
-    if worst_hl > 1e-9:
-        failures.append(f"Hardy-Littlewood violated by {worst_hl:.3g}")
+    checks.record("worst_hl_excess", worst_hl, 0.0, 1e-9, worst_hl <= 1e-9,
+                  f"Hardy-Littlewood violated by {worst_hl:.3g}")
 
     bll_grid = SpaceGrid(8.0, 321)
     worst_bll = -np.inf
@@ -348,9 +337,8 @@ def check_rearrangement(profile: Profile) -> CheckResult:
             coeffs[0, 0] = 1.0
         lhs, rhs = rearrange.bll_check(*fs, coeffs)
         worst_bll = max(worst_bll, lhs - rhs - 1e-8 * (1 + rhs))
-    rows.append(("worst_bll_excess", float(worst_bll), 0.0, 0.0, int(worst_bll <= 0.0)))
-    if worst_bll > 0.0:
-        failures.append(f"multilinear inequality violated by {worst_bll:.3g}")
+    checks.record("worst_bll_excess", worst_bll, 0.0, 0.0, worst_bll <= 0.0,
+                  f"multilinear inequality violated by {worst_bll:.3g}")
 
     # Steiner monotonicity of the terminal value
     sg = SpaceGrid(10.0, 201)
@@ -360,101 +348,109 @@ def check_rearrangement(profile: Profile) -> CheckResult:
         rho = random_smooth_deviation(rng, tg, sg)
         z, z_s = rearrange.steiner_increases_z(rho)
         worst_sz = max(worst_sz, z / (z_s * (1 + 1e-4)))
-    rows.append(("worst_z_over_zs", float(worst_sz), 1.0, 0.0, int(worst_sz <= 1.0)))
-    if worst_sz > 1.0:
-        failures.append(f"Steiner monotonicity violated, ratio {worst_sz:.6f}")
+    checks.record("worst_z_over_zs", worst_sz, 1.0, 0.0, worst_sz <= 1.0,
+                  f"Steiner monotonicity violated, ratio {worst_sz:.6f}")
 
     shifted = SpaceTimeDeviation.time_constant(
         tg, Potential(sg, 1.0 / np.cosh(sg.x - 1.0) ** 2))
     z, z_s = rearrange.steiner_increases_z(shifted)
     gap = (z_s - z) / z
-    rows.append(("shifted_sech2_gap", float(gap), 0.0, 0.0, int(gap >= 1e-4)))
-    if gap < 1e-4:
-        failures.append(f"strict gap too small: {gap:.3g}")
+    checks.record("shifted_sech2_gap", gap, 0.0, 0.0, gap >= 1e-4,
+                  f"strict gap too small: {gap:.3g}")
 
     detail = (f"norm drift {worst_norm:.2e}, HL excess {worst_hl:.2e}, "
               f"BLL excess {worst_bll:.2e}, Z ratio {worst_sz:.6f}, strict gap {gap:.2e}")
-    if failures:
-        detail += " | FAIL: " + "; ".join(failures)
-    return CheckResult(5, "rearrangement suite", not failures, detail,
-                       {"rearrangement.csv": _rows_csv("name,value,target,tol,pass", rows)})
+    return checks.result(5, "rearrangement suite", detail, "rearrangement.csv")
 
 
 # --- criterion 6: tail law -------------------------------------------------------
 
+class TailLawRow(NamedTuple):
+    """One depth of the tail-law table."""
+
+    name: str
+    lam: float
+    phi_hat: float
+    ratio: float  # phi_hat / lam^(3/2)
+    certificate_ratio: float  # the analytic certificate over lam^(3/2)
+    minimizer_distance: float  # nan when the rho_star run did not converge
+    init_agreement: float  # |phi_hat(rho_star) - phi_hat(half_rho_star)| / phi_hat(rho_star)
+    converged: int  # the rho_star run
+
+
+TAIL_LAW_HEADER = ",".join(TailLawRow._fields)
+
+
+def tail_law(lams, opts: RateOptions):
+    """The tail-law sweep of criterion 6 and `kpztail tail-law`.
+
+    At each depth rate_phi runs from rho_star (with its certificate) and from
+    half_rho_star (without).  Every depth is checked against the rate node
+    budget before any is solved.  Yields, depth by depth, the table row and
+    the rho_star and half_rho_star reports, so that no depth's minimizers
+    outlive the next depth's solves.
+    """
+    for lam in lams:
+        check_node_budget(lam, opts)
+    for lam in lams:
+        rep = rate_phi(lam, replace(opts, init="rho_star"))
+        rep_b = rate_phi(lam, replace(opts, init="half_rho_star", compute_certificate=False))
+        row = TailLawRow(
+            f"lam_{lam}", lam, rep.phi_hat, rep.scaled_ratio, rep.upper_certificate / lam**1.5,
+            minimizer_distance(rep) if rep.converged else float("nan"),
+            abs(rep.phi_hat - rep_b.phi_hat) / max(rep.phi_hat, 1e-12), int(rep.converged))
+        yield row, rep, rep_b
+
+
 def check_tail_law(profile: Profile) -> CheckResult:
-    failures = []
-    rows = []
-    ratios = []
-    dists = []
     opts = RateOptions(n_points=profile.tail_n_points, dt=profile.tail_dt,
                        max_iterations=profile.tail_max_iterations)
-    for lam in profile.tail_lambdas:
-        rep_a = rate_phi(lam, replace(opts, init="rho_star"))
-        rep_b = rate_phi(lam, replace(opts, init="half_rho_star", compute_certificate=False))
-        if not (rep_a.converged and rep_b.converged):
-            failures.append(f"lam={lam}: unconverged run(s)")
-        agree = abs(rep_a.phi_hat - rep_b.phi_hat) / max(rep_a.phi_hat, 1e-12)
-        if agree > 0.02:
-            failures.append(f"lam={lam}: initializations disagree by {agree:.3%}")
-        if rep_a.constraint_residual < -1e-6:
-            failures.append(f"lam={lam}: infeasible at exit ({rep_a.constraint_residual:.2e})")
-        ratio = rep_a.scaled_ratio
-        cert_ratio = rep_a.upper_certificate / lam**1.5
-        if ratio > cert_ratio + 1e-6:
-            failures.append(f"lam={lam}: ratio {ratio:.4f} above certificate {cert_ratio:.4f}")
-        dist = minimizer_distance(rep_a) if rep_a.converged else float("nan")
-        ratios.append(ratio)
-        dists.append(dist)
-        rows.append((f"lam_{lam}", float(lam), float(rep_a.phi_hat), float(ratio),
-                     float(cert_ratio), float(dist), float(agree), int(rep_a.converged)))
+    checks = _Checks()
+    for row, rep_a, rep_b in tail_law(profile.tail_lambdas, opts):
+        checks.rows.append(row)
+        checks.require(rep_a.converged and rep_b.converged, f"lam={row.lam}: unconverged run(s)")
+        checks.require(not row.init_agreement > 0.02,
+                       f"lam={row.lam}: initializations disagree by {row.init_agreement:.3%}")
+        checks.require(not rep_a.constraint_residual < -1e-6,
+                       f"lam={row.lam}: infeasible at exit ({rep_a.constraint_residual:.2e})")
+        checks.require(not row.ratio > row.certificate_ratio + 1e-6, f"lam={row.lam}: ratio "
+                       f"{row.ratio:.4f} above certificate {row.certificate_ratio:.4f}")
 
+    ratios = [row.ratio for row in checks.rows]
+    dists = [row.minimizer_distance for row in checks.rows]
     for a, b in zip(ratios, ratios[1:]):
-        if b > a * 1.05:
-            failures.append(f"ratio sequence increases: {a:.4f} -> {b:.4f}")
+        checks.require(not b > a * 1.05, f"ratio sequence increases: {a:.4f} -> {b:.4f}")
     for r in ratios:
-        if r < 1.0:
-            failures.append(f"ratio {r:.4f} below 1.0")
+        checks.require(not r < 1.0, f"ratio {r:.4f} below 1.0")
     if len(profile.tail_lambdas) >= 3 and profile.tail_lambdas[-1] == 16.0:
-        if not 1.20 <= ratios[-1] <= 1.55:
-            failures.append(f"ratio at lam=16 is {ratios[-1]:.4f}, outside [1.20, 1.55]")
+        checks.require(1.20 <= ratios[-1] <= 1.55,
+                       f"ratio at lam=16 is {ratios[-1]:.4f}, outside [1.20, 1.55]")
     for a, b in zip(dists, dists[1:]):
-        if b > a * 1.10:
-            failures.append(f"minimizer distance increases: {a:.4f} -> {b:.4f}")
+        checks.require(not b > a * 1.10, f"minimizer distance increases: {a:.4f} -> {b:.4f}")
 
     detail = ("ratios " + ", ".join(f"{r:.4f}" for r in ratios)
               + "; time-constant prediction "
               + ", ".join(f"{time_constant_prediction(lam):.4f}" for lam in profile.tail_lambdas)
               + "; distances " + ", ".join(f"{d:.4f}" for d in dists))
-    if failures:
-        detail += " | FAIL: " + "; ".join(failures)
-    header = "name,lam,phi_hat,ratio,certificate_ratio,minimizer_distance,init_agreement,converged"
-    return CheckResult(6, "tail law", not failures, detail,
-                       {"tail_law.csv": _rows_csv(header, rows)})
+    return checks.result(6, "tail law", detail, "tail_law.csv", TAIL_LAW_HEADER)
 
 
 # --- criterion 7: limit shape -----------------------------------------------------
 
 def check_limit_shape(profile: Profile) -> CheckResult:
-    failures = []
-    rows = []
+    checks = _Checks()
     sups = []
     for lam in profile.shape_lambdas:
         prof = bridge.shape_profile(lam, 0.5, backend="pde",
                                     opts=bridge.ShapeOptions(dx=profile.shape_dx))
         sups.append(prof.sup_error)
         tol = 0.25 if lam <= 8 else 0.1
-        rows.append((f"lam_{lam}", float(lam), float(prof.sup_error), tol,
-                     int(prof.sup_error <= tol)))
-        if prof.sup_error > tol:
-            failures.append(f"lam={lam}: sup error {prof.sup_error:.4f} > {tol}")
-    if len(sups) >= 2 and not sups[-1] < sups[0]:
-        failures.append(f"sup error did not shrink: {sups}")
+        checks.record(f"lam_{lam}", lam, prof.sup_error, tol, prof.sup_error <= tol,
+                      f"lam={lam}: sup error {prof.sup_error:.4f} > {tol}")
+    checks.require(len(sups) < 2 or sups[-1] < sups[0], f"sup error did not shrink: {sups}")
     detail = "sup errors " + ", ".join(f"{s:.4f}" for s in sups)
-    if failures:
-        detail += " | FAIL: " + "; ".join(failures)
-    return CheckResult(7, "limit shape", not failures, detail,
-                       {"limit_shape.csv": _rows_csv("name,lam,sup_error,tol,pass", rows)})
+    return checks.result(7, "limit shape", detail, "limit_shape.csv",
+                         "name,lam,sup_error,tol,pass")
 
 
 # --- criterion 8: bridge machinery ---------------------------------------------
@@ -462,8 +458,7 @@ def check_limit_shape(profile: Profile) -> CheckResult:
 def check_bridge(profile: Profile) -> CheckResult:
     from scipy.integrate import quad  # not at module level, so importing the CLI skips it
 
-    failures = []
-    rows = []
+    checks = _Checks()
     lam = profile.growth_lambda
     grid = standard_grid(0.05, 20.0)
     phi = spectral.rho_star(grid)
@@ -475,14 +470,10 @@ def check_bridge(profile: Profile) -> CheckResult:
                                seed=90211)
     x_edge = lam**0.25
     g1 = bridge.growth_rate(phi, lam, x_edge, cfg1)
-    ok0 = abs(g0 - 0.5) <= 0.05
-    ok1 = abs(g0 - g1) <= 0.05
-    rows.append(("growth_x0", float(g0), 0.5, 0.05, int(ok0)))
-    rows.append(("growth_uniformity", float(abs(g0 - g1)), 0.0, 0.05, int(ok1)))
-    if not ok0:
-        failures.append(f"growth rate {g0:.4f} vs 0.5")
-    if not ok1:
-        failures.append(f"uniformity gap {abs(g0 - g1):.4f}")
+    checks.record("growth_x0", g0, 0.5, 0.05, abs(g0 - 0.5) <= 0.05,
+                  f"growth rate {g0:.4f} vs 0.5")
+    checks.record("growth_uniformity", abs(g0 - g1), 0.0, 0.05, abs(g0 - g1) <= 0.05,
+                  f"uniformity gap {abs(g0 - g1):.4f}")
 
     # hitting-time density: normalization and MC histogram
     t_h, x_h, lam_h = 1.0, 1.0, 4.0
@@ -493,10 +484,8 @@ def check_bridge(profile: Profile) -> CheckResult:
         return bridge.hitting_density(s, t_h, x_h, lam_h) * 2.0 * u
 
     total, _ = quad(dens, 0.0, math.sqrt(horizon), limit=200)
-    ok_norm = abs(total - 1.0) <= 1e-4
-    rows.append(("hitting_normalization", float(total), 1.0, 1e-4, int(ok_norm)))
-    if not ok_norm:
-        failures.append(f"density integrates to {total:.6f}")
+    checks.record("hitting_normalization", total, 1.0, 1e-4, abs(total - 1.0) <= 1e-4,
+                  f"density integrates to {total:.6f}")
 
     cfg_h = bridge.BridgeConfig(n_paths=profile.hit_paths, n_time_steps=profile.hit_steps,
                                 seed=515151)
@@ -510,23 +499,17 @@ def check_bridge(profile: Profile) -> CheckResult:
                         edges[b], edges[b + 1], limit=100)
         sd = math.sqrt(max(n * p_bin * (1 - p_bin), 1.0))
         worst_z = max(worst_z, abs(counts[b] - n * p_bin) / sd)
-    rows.append(("hitting_hist_worst_z", float(worst_z), 0.0, 5.0, int(worst_z <= 5.0)))
-    if worst_z > 5.0:
-        failures.append(f"histogram deviates by {worst_z:.2f} standard errors")
+    checks.record("hitting_hist_worst_z", worst_z, 0.0, 5.0, worst_z <= 5.0,
+                  f"histogram deviates by {worst_z:.2f} standard errors")
 
     q = bridge.hitting_mgf_quadrature(0.5, 1.0, 0.5, 200.0)
     a = bridge.laplace_logmgf(0.5, 1.0, 0.5)
-    ok_q = abs(q - a) <= 0.02
-    rows.append(("laplace_quadrature_gap", float(abs(q - a)), 0.0, 0.02, int(ok_q)))
-    if not ok_q:
-        failures.append(f"quadrature {q:.5f} vs asymptote {a:.5f}")
+    checks.record("laplace_quadrature_gap", abs(q - a), 0.0, 0.02, abs(q - a) <= 0.02,
+                  f"quadrature {q:.5f} vs asymptote {a:.5f}")
 
     detail = (f"growth {g0:.4f} (x={x_edge:.2f}: {g1:.4f}), density norm {total:.6f}, "
               f"hist worst z {worst_z:.2f}, Laplace gap {abs(q - a):.4f}")
-    if failures:
-        detail += " | FAIL: " + "; ".join(failures)
-    return CheckResult(8, "bridge machinery", not failures, detail,
-                       {"bridge.csv": _rows_csv("name,value,target,tol,pass", rows)})
+    return checks.result(8, "bridge machinery", detail, "bridge.csv")
 
 
 # --- criterion 9: reproducibility -----------------------------------------------
@@ -538,11 +521,10 @@ def check_reproducibility(profile: Profile) -> CheckResult:
     srun_a = check_rearrangement(QUICK)
     srun_b = check_rearrangement(QUICK)
     same = same and (srun_a.artifacts == srun_b.artifacts)
-    detail = "repeated runs produced byte-identical CSV bodies" if same else \
-        "CSV bodies differ between repeated runs"
-    rows = [("byte_identical", float(same), 1.0, 0.0, int(same))]
-    return CheckResult(9, "reproducibility", bool(same), detail,
-                       {"reproducibility.csv": _rows_csv("name,value,target,tol,pass", rows)})
+    checks = _Checks()
+    checks.record("byte_identical", same, 1.0, 0.0, same, "CSV bodies differ between repeated runs")
+    detail = "repeated runs produced byte-identical CSV bodies" if same else "repeated runs compared"
+    return checks.result(9, "reproducibility", detail, "reproducibility.csv")
 
 
 CHECKS = {

@@ -53,10 +53,9 @@ iterate, its gradient, the inner products and the mixing history hold the
 (n + 1)/2 nodes x >= 0, and the solver marches them with a reflecting
 centre row.  The half line's trapezoid weights integrate the even
 extension, so `inner` and the weights that turn node partials into
-the functional gradient keep their full-line formulas.  A start given as
-`init_values` is first projected onto even functions, (v + v reversed)/2.
-The returned minimizer is the iterate's exact mirror on the full grid, and
-its feasibility is checked again by a full-line march.
+the functional gradient keep their full-line formulas.  The returned
+minimizer is the iterate's exact mirror on the full grid, and its
+feasibility is checked again by a full-line march.
 
 The estimate phi_hat = lam^(3/2) (1/(2 lam)) ||rho_hat||^2 is an upper bound
 on the true rate value certified feasible; the time-constant candidate
@@ -107,7 +106,6 @@ class RateOptions:
     n_points: int = 801
     dt: float = 0.01
     init: str = "rho_star"  # rho_star | half_rho_star | zeros
-    init_values: np.ndarray | None = None  # explicit start, overrides init
     max_iterations: int = 2000  # fixed-point steps
     stationarity_tol: float = 1e-5
     feasibility_tol: float = 1e-6
@@ -124,8 +122,8 @@ class RateOptions:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}; expected one of {INITS}")
-        if not all(z > 0 for z in self.zeta_candidates):
-            raise ValueError(f"zeta_candidates must be positive, got {self.zeta_candidates}")
+        if not all(0 < z < np.inf for z in self.zeta_candidates):
+            raise ValueError(f"zeta_candidates must be positive and finite, got {self.zeta_candidates}")
         if not self.n_points >= 3:
             raise ValueError(f"need n_points >= 3, got {self.n_points}")
         dx = 2.0 * RATE_HALF_WIDTH / (self.n_points - 1)
@@ -343,14 +341,7 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
         return log_zt, grad
 
     base = rho_star(sgrid).values
-    if opts.init_values is not None:
-        start = np.asarray(opts.init_values[:nt], dtype=float)
-        if start.shape != (nt, full.n_points):
-            raise ValueError(f"init_values must cover {(nt, full.n_points)} nodes")
-        # the L2-orthogonal projection onto even functions, then its x >= 0 half
-        even = (start + start[:, ::-1]) / 2
-        np.maximum(even[:, full.center_index:], 0.0, out=u)
-    elif opts.init == "rho_star":
+    if opts.init == "rho_star":
         u[:] = base
     elif opts.init == "half_rho_star":
         u[:] = 0.5 * base

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kpztail import cli, solver
+from kpztail import cli, selftest, solver
 from kpztail.cli import main
 
 
@@ -169,6 +169,7 @@ def test_config_bad_value_is_usage_error(tmp_path, capsys, subcommand, field):
     (["tail-law", "--lambdas", "4", "--n-points", "41"], "too coarse to resolve sech^2"),
     # 2e7 time steps on 801 nodes
     (["rate", "--lambda", "1", "--dt", "1e-7"], "dt must exceed the delta warm-up time"),
+    (["rate", "--lambda", "1", "--zeta", "inf"], "zeta_candidates must be positive and finite"),
 ])
 def test_bad_rate_options_are_usage_errors(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as err:
@@ -198,7 +199,7 @@ def test_step_that_does_not_divide_its_span_is_an_error(tmp_path, capsys, argv):
 ])
 def test_rate_work_over_budget_is_an_error(tmp_path, capsys, monkeypatch, argv):
     if argv[0] == "tail-law":  # every depth is checked before any is solved
-        monkeypatch.setattr(cli, "rate_phi", lambda *a: pytest.fail("solved before the check"))
+        monkeypatch.setattr(selftest, "rate_phi", lambda *a: pytest.fail("solved before the check"))
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert "exceed the rate budget" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -277,8 +278,20 @@ def test_tail_law_takes_every_rate_depth(tmp_path):
     assert main(["tail-law", "--lambdas", "2,32", "--n-points", "81", "--dt", "0.05",
                  "--out", str(out)]) == 1
     rows = read(out / "tail_law.csv").splitlines()
-    assert [r.split(",")[0] for r in rows[1:]] == ["2", "32"]
+    assert rows[0] == selftest.TAIL_LAW_HEADER
+    assert [r.split(",")[1] for r in rows[1:]] == ["2", "32"]
     assert all(r.endswith(",1") for r in rows[1:])  # both converged
+
+
+def test_tail_law_table_is_criterion_6s(tmp_path):
+    # the CLI runs the sweep of criterion 6, both starts included
+    out = tmp_path / "tl"
+    quick = selftest.QUICK
+    assert main(["tail-law", "--lambdas", ",".join(map(str, quick.tail_lambdas)),
+                 "--n-points", str(quick.tail_n_points), "--dt", str(quick.tail_dt),
+                 "--max-iterations", str(quick.tail_max_iterations), "--out", str(out)]) == 1
+    expected = selftest.check_tail_law(quick).artifacts["tail_law.csv"]
+    assert (out / "tail_law.csv").read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize("lambdas", ["0,4", "4,32.5", "nan"])
@@ -337,6 +350,29 @@ def test_bad_width_is_an_error(tmp_path, capsys, argv, width):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, value", [("--amplitude", "nan"), ("--amplitude", "inf"),
+                                         ("--center", "nan"), ("--center", "inf")])
+@pytest.mark.parametrize("argv", [
+    ["spectral"],
+    ["fk", "--phi", "gaussian", "--duration", "1", "--paths", "100"],
+], ids=["spectral", "fk"])
+def test_bad_amplitude_or_center_is_an_error(tmp_path, capsys, argv, flag, value):
+    assert main([*argv, flag, value, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("phi", ["sech2", "gaussian"])
+def test_far_center_overflows_quietly(tmp_path, capsys, phi):
+    # the bump lies outside the box, so the potential is 0 and gns_ratio refuses it
+    argv = ["spectral", "--phi", phi, "--center", "1e308", "--width", "0.5"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: gns_ratio needs a nonzero function\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [["spectral"], ["rate", "--lambda", "1"],
                                   ["tail-law", "--lambdas", "4"], ["figure1"], ["selftest"]])
 def test_seed_only_where_it_is_read(capsys, argv):
@@ -345,24 +381,6 @@ def test_seed_only_where_it_is_read(capsys, argv):
         main([*argv, "--seed", "5"])
     assert err.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("script, args, header", [
-    ("limit_shape_experiment.py", ["--lambdas", "8", "--dx", "0.1", "--dt", "0.02"],
-     "sup|h - h*|"),
-    ("tail_law_experiment.py", ["--lambdas", "1", "--n-points", "401", "--dt", "0.02"],
-     "phi_hat"),
-])
-def test_experiment_scripts_run(script, args, header):
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, str(root / "scripts" / script), *args],
-                          capture_output=True, text=True, timeout=300, env=env)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert header in lines[0]
-    assert len(lines) == 2 and "UNCONVERGED" not in lines[1]
 
 
 @pytest.mark.parametrize("body", [None, "{not json", "[1, 2]"])
@@ -393,3 +411,14 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "h*(1, 0) = 0.5" in proc.stdout
+
+
+def test_readme_cli_block_parses():
+    # every command line of the README's CLI block, its comment stripped, is valid usage
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1].strip().splitlines()
+    assert block
+    for line in block:
+        words = line.split("#", 1)[0].split()
+        assert words[0] == "kpztail", line
+        cli.build_parser().parse_args(words[1:])

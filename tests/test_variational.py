@@ -75,12 +75,8 @@ def test_gradient_finite_differences():
 
 
 def test_rate_zero_depth_from_small_random_start():
-    tgrid = TimeGrid(0.0, 2.0, 200)
-    sgrid = SpaceGrid(20.0, 801)
-    rng = rng_from_seed(3)
-    start = 1e-3 * rng.random((tgrid.n_steps, sgrid.n_points))
-    opts = RateOptions(n_points=801, dt=0.01, init_values=start,
-                       compute_certificate=False)
+    # from the default rho_star start: at lam = 0 the minimizer is rho = 0
+    opts = RateOptions(n_points=801, dt=0.01, compute_certificate=False)
     rep = rate_phi(0.0, opts)
     norm = l2_norm_spacetime(rep.minimizer)
     assert norm <= 1e-3
@@ -162,6 +158,7 @@ def test_rate_phi_rejects_out_of_range():
     ("n_points", 3, "too coarse to resolve sech"),  # dx = 20
     ("n_points", 79, "too coarse to resolve sech"),  # dx = 0.513
     ("n_points", 1, "n_points >= 3"),
+    ("zeta_candidates", (0.1, float("inf")), "zeta_candidates must be positive and finite"),
 ])
 def test_rate_options_reject_bad_values(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -170,18 +167,6 @@ def test_rate_options_reject_bad_values(field, value, message):
 
 def test_rate_options_resolution_rule_edge():
     assert RateOptions(n_points=81).n_points == 81  # dx = 0.5 exactly
-
-
-def test_rate_phi_projects_init_values_onto_even_functions():
-    # an odd start projects to zero, so the run starts from zeros
-    tgrid = TimeGrid(0.0, 2.0, 100)
-    sgrid = SpaceGrid(20.0, 401)
-    odd = np.tile(np.tanh(sgrid.x), (tgrid.n_steps, 1))
-    rep = rate_phi(1.0, replace(QUICK, init_values=odd))
-    ref = rate_phi(1.0, replace(QUICK, init="zeros"))
-    assert rep.phi_hat == ref.phi_hat and rep.iterations == ref.iterations
-    with pytest.raises(ValueError, match="init_values must cover"):
-        rate_phi(1.0, replace(QUICK, init_values=odd[:, 1:]))
 
 
 @pytest.mark.parametrize("lam, ratio", [(4.0, 0.8214), (8.0, 0.9748), (16.0, 1.1035)])
