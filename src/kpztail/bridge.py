@@ -1,14 +1,17 @@
 """Brownian-bridge Monte Carlo, first-hitting asymptotics, and the limit shape.
 
 The exponential functional E_{x->0}[exp(int phi(B(s)) ds)] is estimated by
-streaming path blocks through the standard sequential bridge construction;
-weights are accumulated with running max-shifted log-sum-exp (`_LogSumExp`)
-so deep-tail runs never overflow.  Each block draws from its own
-counter-offset Philox stream, so the estimate is reproducible and
-block-parallel in principle.
+streaming path blocks through the standard sequential bridge construction.
+One reduction, `_path_weights`, integrates phi along every path and
+accumulates the weights exp(int phi) as running max-shifted log-sum-exps of
+their first and second moments (`_LogSumExp`), so deep-tail runs never
+overflow; `fk_estimate`, `growth_rate` and the mc limit shape all read
+their estimates from it.  Each block draws from its own counter-offset
+Philox stream, so the estimate is reproducible and block-parallel in
+principle.
 
 Every Monte Carlo path comes from one step kernel, `_bridge_steps`, which
-advances a whole block of BLOCK_SIZE paths in place; `_stream_weights` and
+advances a whole block of BLOCK_SIZE paths in place; `_path_weights` and
 `first_hitting_times` only add their own per-step work.  The normal draws are
 the floor of the cost: for 100k paths x 640 steps they take about 1.35 s of
 the 2.0-2.2 s of CPU time the path integrals cost on a 2-vCPU x86-64 VM.
@@ -59,6 +62,7 @@ from .grids import (
     standard_time_grid,
 )
 from .solver import DELTA_WARMUP, solve_delta_scaled
+from .spectral import rho_star
 
 _BLOCK_STRIDE = 2**40  # Philox counter offset between path blocks
 BLOCK_SIZE = 50_000  # paths per block; every seeded output depends on it
@@ -194,22 +198,6 @@ class _PotentialOnPath:
         return lo
 
 
-def _stream_weights(phi: Potential, duration: float, start: float, end: float,
-                    cfg: BridgeConfig):
-    """Yield per-block arrays of path integrals int_0^duration phi(bridge)."""
-    n_steps = cfg.steps_for(duration)
-    ds = duration / n_steps
-    potential = _PotentialOnPath(phi, min(BLOCK_SIZE, cfg.n_paths))
-    for block_index, size in _iter_blocks(cfg):
-        integ = 0.5 * ds * potential(np.full(size, float(start)))
-        steps = _bridge_steps(_block_rng(cfg, block_index), start, end, duration, n_steps, size)
-        for k, _, b in steps:
-            v = potential(b)
-            v *= ds if k < n_steps - 1 else 0.5 * ds
-            integ += v
-        yield integ
-
-
 class _LogSumExp:
     """Streaming log of sum exp(v) and of sum exp(2 v), each with a running max shift."""
 
@@ -238,11 +226,35 @@ class _LogSumExp:
         return self.shift + math.log(self.acc) - math.log(self.n)
 
     @property
+    def log_mean_sq(self) -> float:
+        """log of the mean of exp(2 v)."""
+        return self.shift_sq + math.log(self.acc_sq) - math.log(self.n)
+
+    @property
     def ess(self) -> float:
         """Effective sample size (sum w)^2 / sum w^2 of the weights w = exp(v)."""
         log_sum = self.shift + math.log(self.acc)
         log_sum_sq = self.shift_sq + math.log(self.acc_sq)
         return math.exp(2.0 * log_sum - log_sum_sq)
+
+
+def _path_weights(phi: Potential, duration: float, start: float, end: float,
+                  cfg: BridgeConfig) -> _LogSumExp:
+    """The `_LogSumExp` of the path integrals int_0^duration phi(bridge) of
+    cfg.n_paths bridges start -> end, each by the trapezoid rule along its path."""
+    n_steps = cfg.steps_for(duration)
+    ds = duration / n_steps
+    potential = _PotentialOnPath(phi, min(BLOCK_SIZE, cfg.n_paths))
+    weights = _LogSumExp()
+    for block_index, size in _iter_blocks(cfg):
+        integ = 0.5 * ds * potential(np.full(size, float(start)))
+        steps = _bridge_steps(_block_rng(cfg, block_index), start, end, duration, n_steps, size)
+        for k, _, b in steps:
+            v = potential(b)
+            v *= ds if k < n_steps - 1 else 0.5 * ds
+            integ += v
+        weights.add(integ)
+    return weights
 
 
 def fk_estimate(phi: Potential, duration: float, start: float, end: float,
@@ -255,21 +267,15 @@ def fk_estimate(phi: Potential, duration: float, start: float, end: float,
     cfg = cfg or BridgeConfig()
     if not (math.isfinite(start) and math.isfinite(end)):
         raise ValueError(f"bridge end points must be finite, got {start} and {end}")
-    total = 0.0
-    total_sq = 0.0
-    n = 0
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        for integ in _stream_weights(phi, duration, start, end, cfg):
-            w = np.exp(integ)
-            total += float(w.sum())
-            total_sq += float((w * w).sum())
-            n += w.size
-    if not math.isfinite(total_sq):
-        raise ValueError(f"the weights exp(int phi) overflow the float range over duration {duration}")
+    weights = _path_weights(phi, duration, start, end, cfg)
+    try:
+        mean_w = math.exp(weights.log_mean)
+        var_w = max(math.exp(weights.log_mean_sq) - mean_w**2, 0.0)
+    except OverflowError:
+        raise ValueError(f"the weights exp(int phi) overflow the float range over duration "
+                         f"{duration}") from None
     p = heat_kernel(duration, end - start)
-    mean_w = total / n
-    var_w = max(total_sq / n - mean_w**2, 0.0)
-    return p * mean_w, p * math.sqrt(var_w / n)
+    return p * mean_w, p * math.sqrt(var_w / weights.n)
 
 
 def growth_rate(phi: Potential, lam: float, x: float, cfg: BridgeConfig | None = None,
@@ -287,9 +293,7 @@ def growth_rate(phi: Potential, lam: float, x: float, cfg: BridgeConfig | None =
     if abs(x) > lam**0.25 + 1e-12:
         raise ValueError(f"|x| = {abs(x)} exceeds the mesoscopic window lam^(1/4)")
     duration = 2.0 * lam
-    weights = _LogSumExp()
-    for integ in _stream_weights(phi, duration, x, 0.0, cfg):
-        weights.add(integ)
+    weights = _path_weights(phi, duration, x, 0.0, cfg)
     log_mean = weights.log_mean
     rate = log_mean / duration
     if return_diagnostics:
@@ -524,7 +528,7 @@ def _shape_profile_pde(lam: float, delta: float, opts: ShapeOptions) -> ShapePro
                          f"of {SHAPE_NODE_BUDGET:.3g}; raise dx or dt, or lower lam")
     n_half = int(math.ceil(half_width / opts.dx))
     half = HalfLine(SpaceGrid(n_half * opts.dx, 2 * n_half + 1))
-    rho = SpaceTimeDeviation.time_constant(tgrid, Potential(half, 1.0 / np.cosh(half.x) ** 2))
+    rho = SpaceTimeDeviation.time_constant(tgrid, rho_star(half))
 
     stride_t = max(1, int(round(SHAPE_T_STEP * lam / tgrid.dt)))
     k_lo = int(math.ceil(lam * delta / tgrid.dt - 1e-9))
@@ -546,7 +550,7 @@ def _shape_profile_pde(lam: float, delta: float, opts: ShapeOptions) -> ShapePro
 
 def _shape_profile_mc(lam: float, delta: float, opts: ShapeOptions) -> ShapeProfile:
     sgrid = SpaceGrid(20.0, 801)
-    phi = Potential(sgrid, 1.0 / np.cosh(sgrid.x) ** 2)
+    phi = rho_star(sgrid)
     t_vals = np.linspace(delta, 2.0, opts.mc_t_count)
     x_vals = np.linspace(-1.0 / delta, 1.0 / delta, opts.mc_x_count)
     # one Monte Carlo call per point; the budget caps the calls together
@@ -561,10 +565,7 @@ def _shape_profile_mc(lam: float, delta: float, opts: ShapeOptions) -> ShapeProf
         for j, xv in enumerate(x_vals):
             cfg = BridgeConfig(n_paths=opts.mc_paths,
                                seed=opts.mc_seed + 1000 * i + j)
-            weights = _LogSumExp()
-            for integ in _stream_weights(phi, duration, lam * xv, 0.0, cfg):
-                weights.add(integ)
-            log_e = weights.log_mean
+            log_e = _path_weights(phi, duration, lam * xv, 0.0, cfg).log_mean
             # log of heat_kernel(duration, y) from its own exponent and
             # normaliser: the kernel underflows to 0 once y^2 / (2 duration) > 745
             y = lam * xv

@@ -65,7 +65,8 @@ def _write_artifacts(out_dir: Path, subcommand: str, config: dict, files: dict,
 
 
 def _json_body(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The JSON text of a report; a NaN or infinite value raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _args_config(args) -> dict:
@@ -96,14 +97,22 @@ def _named_potential(name: str, grid: SpaceGrid, amplitude: float, width: float,
 def _cmd_spectral(args) -> int:
     grid = standard_grid(args.dx, args.half_width)
     phi = _named_potential(args.phi, grid, args.amplitude, args.width, args.center)
-    gs = spectral.ground_state(phi)
-    bound = spectral.potbd_bound(phi)
+    # F, the bound and the L4 norm in gns_ratio grow like the amplitude, its
+    # 4/3 power and its 4th power
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            f_value = spectral.ground_state(phi).value
+            bound = spectral.potbd_bound(phi)
+            gns = spectral.gns_ratio(phi)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise ValueError(f"--amplitude {args.amplitude:g} takes the spectral report out of "
+                         f"the float range ({exc})") from None
     report = {
         "potential": args.phi,
-        "F": gs.value,
+        "F": f_value,
         "bound": bound,
-        "defect": 1.0 - gs.value / bound if bound > 0 else None,
-        "gns_ratio": spectral.gns_ratio(phi),
+        "defect": 1.0 - f_value / bound if bound > 0 else None,
+        "gns_ratio": gns,
     }
     _write_artifacts(Path(args.out), "spectral", _args_config(args), {
         "spectral.json": _json_body(report),
@@ -191,7 +200,7 @@ def _cmd_rate(args) -> int:
 
 def _cmd_tail_law(args) -> int:
     lams = sorted(args.lambdas)
-    if any(not 0 < v <= 32 for v in lams):  # rate_phi's depths, without lam = 0
+    if any(not 0 < v <= 32 for v in lams):  # rate_phi's depths, checked before any solve
         print("error: --lambdas entries must lie in (0, 32]", file=sys.stderr)
         return 2
     rows = [row for row, _, _ in selftest.tail_law(lams, _rate_options(args))]

@@ -227,8 +227,7 @@ def check_solver(profile: Profile) -> CheckResult:
         tg_short, Potential(grid_s, lam / np.cosh(np.sqrt(lam) * grid_s.x) ** 2))
     lhs = solve_delta_at(rho_short, 2.0, 0.0)
     tg_long = TimeGrid(0.0, 2.0 * lam, int(1000 * lam))
-    rho_long = SpaceTimeDeviation.time_constant(
-        tg_long, Potential(grid_s, 1.0 / np.cosh(grid_s.x) ** 2))
+    rho_long = SpaceTimeDeviation.time_constant(tg_long, spectral.rho_star(grid_s))
     rhs = np.sqrt(lam) * solve_delta_at(rho_long, 2.0 * lam, 0.0)
     scaling_rel = abs(lhs - rhs) / abs(rhs)
     checks.record("scaling_identity_rel", scaling_rel, 0.0, 1e-3, scaling_rel <= 1e-3,
@@ -237,8 +236,7 @@ def check_solver(profile: Profile) -> CheckResult:
     # adjoint gradient against central finite differences, interior window
     fd_grid = standard_grid(0.05, 10.0)
     fd_tgrid = TimeGrid(0.0, 2.0, 200)
-    rho_fd = SpaceTimeDeviation.time_constant(
-        fd_tgrid, Potential(fd_grid, 1.0 / np.cosh(fd_grid.x) ** 2))
+    rho_fd = SpaceTimeDeviation.time_constant(fd_tgrid, spectral.rho_star(fd_grid))
     grad = terminal_gradient(rho_fd)
     rng = rng_from_seed(SEED + 3)
     h = 1e-5

@@ -5,14 +5,13 @@ discretization with Dirichlet walls at +-L.  The Dirichlet box shifts
 F(0) from the continuum value 0 down to about -pi^2/(8 L^2); tolerances in
 callers absorb this O(L^-2) bias.
 
-The top eigenpair comes straight from LAPACK (`_top_eigenpair`): dstebz
-bisection for the largest eigenvalue alone, and dstein inverse iteration
-only when the eigenvector is wanted.  These are the calls
-`scipy.linalg.eigh_tridiagonal` makes for one eigenpair selected by index,
-without its argument validation, so the results are bitwise equal to it.
-`f_time_integral` asks for the eigenvalue only and builds the off-diagonal
-once per field.  Every entry point refuses a HalfLine: its centre would act
-as a Dirichlet wall.
+F comes straight from LAPACK (`_top_eigenvalue`): one dstebz bisection for
+the largest eigenvalue alone, the call `scipy.linalg.eigh_tridiagonal`
+makes for one eigenvalue selected by index, without its argument
+validation, so the result is bitwise equal to it.  `ground_state` and
+`f_time_integral` share that call; the latter builds the off-diagonal once
+per field.  No eigenvector is computed.  Every entry point refuses a
+HalfLine: its centre would act as a Dirichlet wall.
 
 The sharp bound F(phi) <= (1/2)(3/4)^(2/3) ||phi||_2^(4/3) is attained
 exactly on the family a^2 sech^2(a(x - v)); its L2-normalized symmetric
@@ -24,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
+from scipy.linalg.lapack import dstebz
 
 from .grids import (
     Potential,
@@ -41,7 +40,6 @@ GNS_CONSTANT = 3.0 ** (-1.0 / 8.0)
 @dataclass(frozen=True)
 class GroundState:
     value: float
-    eigenfunction: Potential
 
 
 def rayleigh(g: Potential, phi: Potential) -> float:
@@ -64,34 +62,22 @@ def rayleigh(g: Potential, phi: Potential) -> float:
     return (pot_term - kinetic) / norm_sq
 
 
-def _check_info(info: int, routine: str) -> None:
-    """Raise on a LAPACK error code, as scipy.linalg does."""
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of internal {routine}")
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{routine} did not converge (LAPACK info={info})")
+def _top_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
+    `diag` and off-diagonal `off`.
 
-
-def _top_eigenpair(diag: np.ndarray, off: np.ndarray, vector: bool):
-    """(largest eigenvalue, its unit eigenvector or None) of the symmetric
-    tridiagonal matrix with diagonal `diag` and off-diagonal `off`.
-
-    The calls eigh_tridiagonal makes for one eigenpair selected by index:
-    dstebz bisection (il = iu = n, tol 0, block order) and dstein inverse
-    iteration.  For the one eigenvalue asked for, dstebz returns exactly
-    one (info 0) or reports an error, so the result is bitwise
-    eigh_tridiagonal's.
+    The call eigh_tridiagonal makes for one eigenvalue selected by index:
+    dstebz bisection (il = iu = n, tol 0, block order).  Raises
+    np.linalg.LinAlgError when dstebz reports an error or returns no
+    eigenvalue, as it does for entries near the limit of the float range.
     """
     n = diag.size
     if n == 1:  # as eigh_tridiagonal; the dstebz wrapper refuses an empty off-diagonal
-        return float(diag[0]), (np.ones(1) if vector else None)
-    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, n, n, 0.0, "B")
-    _check_info(info, "dstebz")
-    if not vector:
-        return float(w[0]), None
-    z, info = dstein(diag, off, w[:m], iblock, isplit)
-    _check_info(info, "dstein")
-    return float(w[0]), z[:, 0]
+        return float(diag[0])
+    m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, n, n, 0.0, "B")
+    if info != 0 or m < 1:
+        raise np.linalg.LinAlgError(f"dstebz found no eigenvalue (info={info}, m={m})")
+    return float(w[0])
 
 
 def _bands(grid: SpaceGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,22 +87,9 @@ def _bands(grid: SpaceGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def ground_state(phi: Potential) -> GroundState:
-    """Largest eigenpair of the Dirichlet discretization of (1/2)D + phi."""
-    grid = phi.grid
-    require_full_line(grid, "ground_state")
-    dx = grid.dx
-    try:
-        value, vec = _top_eigenpair(*_bands(grid, phi.values), vector=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError(f"eigensolver failed on grid with {grid.n_points} nodes") from exc
-    g = np.zeros(grid.n_points)
-    g[1:-1] = vec
-    if g.sum() < 0:
-        g = -g
-    # top eigenvector is positive up to round-off in the far tails
-    g = np.maximum(g, 0.0)
-    g /= np.sqrt(np.dot(g, g) * dx)
-    return GroundState(value, Potential(grid, g))
+    """Largest eigenvalue of the Dirichlet discretization of (1/2)D + phi."""
+    require_full_line(phi.grid, "ground_state")
+    return GroundState(_top_eigenvalue(*_bands(phi.grid, phi.values)))
 
 
 def potbd_bound(phi: Potential) -> float:
@@ -150,12 +123,9 @@ def rho_star(grid: SpaceGrid) -> Potential:
 
 
 def f_time_integral(rho: SpaceTimeDeviation) -> float:
-    """Trapezoid-in-time integral of F(rho(r, .)) over the full time window.
-
-    Each slice's F is `ground_state(...).value`, computed without the
-    eigenvector.
-    """
+    """Trapezoid-in-time integral of F(rho(r, .)) over the full time window;
+    each slice's F is `ground_state(...).value`."""
     require_full_line(rho.sgrid, "f_time_integral")
     diags, off = _bands(rho.sgrid, rho.values)
-    vals = [_top_eigenpair(diag, off, vector=False)[0] for diag in diags]
+    vals = [_top_eigenvalue(diag, off) for diag in diags]
     return float(np.trapezoid(vals, dx=rho.tgrid.dt))

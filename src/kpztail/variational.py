@@ -1,7 +1,7 @@
 """Rate function of the conditioned log-height via PDE-constrained optimization.
 
-For a tail depth lam the scaled problem minimizes (1/(2 lam)) ||rho||^2 over
-deviations on [0, 2 lam] x [-L, L] subject to
+For a tail depth lam in (0, 32] the scaled problem minimizes
+(1/(2 lam)) ||rho||^2 over deviations on [0, 2 lam] x [-L, L] subject to
 
     log Z(rho; 2 lam, 0) >= lam - (1/2) log(4 pi lam),
 
@@ -60,7 +60,9 @@ feasibility is checked again by a full-line march.
 The estimate phi_hat = lam^(3/2) (1/(2 lam)) ||rho_hat||^2 is an upper bound
 on the true rate value certified feasible; the time-constant candidate
 (1+zeta) sech^2 provides the analytic certificate (4/3)(1+zeta)^2 lam^(3/2)
-above it.
+above it.  Every formula here divides by lam or takes its logarithm, so
+`rate_phi` refuses a depth outside (0, 32] and `upper_certificate` one that
+is not positive and finite.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ from .grids import (
     Potential,
     SpaceGrid,
     SpaceTimeDeviation,
-    heat_kernel,
     l2_norm_spacetime,
     standard_time_grid,
 )
@@ -148,13 +149,11 @@ class RateReport:
     @property
     def scaled_ratio(self) -> float:
         """phi_hat / lam^(3/2); tends to 4/3 deep in the tail."""
-        if self.lam <= 0:
-            return float("nan")
         return self.phi_hat / self.lam**1.5
 
 
 def _problem_grids(lam: float, opts: RateOptions):
-    tgrid = standard_time_grid(opts.dt, 2.0 * lam if lam > 0 else 2.0)
+    tgrid = standard_time_grid(opts.dt, 2.0 * lam)
     sgrid = SpaceGrid(RATE_HALF_WIDTH, opts.n_points)
     return tgrid, sgrid
 
@@ -169,8 +168,6 @@ def check_node_budget(lam: float, opts: RateOptions) -> None:
 
 
 def _target_log(lam: float) -> float:
-    if lam == 0.0:
-        return float(np.log(heat_kernel(2.0, 0.0)))
     return lam - 0.5 * np.log(4.0 * np.pi * lam)
 
 
@@ -225,8 +222,8 @@ def upper_certificate(lam: float, zeta: float, opts: RateOptions | None = None) 
     """(4/3)(1+zeta)^2 lam^(3/2) after verifying the candidate is feasible."""
     if not zeta > 0:
         raise ValueError("zeta must be positive")
-    if lam == 0.0:
-        return 0.0
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     opts = opts or RateOptions()
     tgrid, sgrid = _problem_grids(lam, opts)
     cand = SpaceTimeDeviation.time_constant(
@@ -308,14 +305,14 @@ def _kkt_holds(c_val: float, eta: float, snorm: float, opts: RateOptions) -> boo
 def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
     """KKT fixed-point estimate of the scaled rate value at depth lam."""
     opts = opts or RateOptions()
-    if not 0.0 <= lam <= 32.0:
-        raise ValueError(f"lam must lie in [0, 32] at desk scale, got {lam}")
+    if not 0.0 < lam <= 32.0:
+        raise ValueError(f"lam must lie in (0, 32] at desk scale, got {lam}")
     check_node_budget(lam, opts)
     tgrid, full = _problem_grids(lam, opts)
     # the iterate lives on x >= 0 and stands for its even extension
     sgrid = HalfLine(full)
     target = _target_log(lam)
-    cost_scale = 2.0 * lam if lam > 0 else 2.0
+    cost_scale = 2.0 * lam
 
     w_space = sgrid.trapezoid_weights()
     dt = tgrid.dt
@@ -381,11 +378,8 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
     c_val = target - log_zt
     converged = _kkt_holds(c_val, eta, snorm, opts)
     cost = inner(u, u) / cost_scale
-    phi_hat = (lam**1.5) * cost if lam > 0 else cost
-    if opts.compute_certificate:
-        cert = _smallest_certificate(lam, opts) if lam > 0 else 0.0
-    else:
-        cert = float("nan")
+    phi_hat = (lam**1.5) * cost
+    cert = _smallest_certificate(lam, opts) if opts.compute_certificate else float("nan")
     return RateReport(
         lam=lam,
         phi_hat=float(phi_hat),
@@ -405,5 +399,4 @@ def minimizer_distance(report: RateReport) -> float:
     rho = report.minimizer
     star = rho_star(rho.sgrid).values
     diff = SpaceTimeDeviation(rho.tgrid, rho.sgrid, rho.values - star[None, :])
-    scale = 2.0 * report.lam if report.lam > 0 else 2.0
-    return float(l2_norm_spacetime(diff) ** 2 / scale)
+    return float(l2_norm_spacetime(diff) ** 2 / (2.0 * report.lam))

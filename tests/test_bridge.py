@@ -365,7 +365,7 @@ def test_shape_profile_mc_far_outside_the_cone():
 
 
 def test_shape_profile_mc_work_is_checked_before_the_first_call(monkeypatch):
-    monkeypatch.setattr(bridge, "_stream_weights", lambda *a: pytest.fail("ran before the check"))
+    monkeypatch.setattr(bridge, "_path_weights", lambda *a: pytest.fail("ran before the check"))
     # 36 calls of at most 1e6 paths x 6000 steps each, 1.35e11 path-steps in all
     with pytest.raises(ValueError, match="bridge budget"):
         shape_profile(150.0, 0.5, "mc", ShapeOptions(mc_paths=1_000_000))
@@ -438,7 +438,7 @@ def test_first_hitting_times_pinned():
 @pytest.mark.usefixtures("blocks_of_1000")
 def test_fk_estimate_pinned(phi20):
     assert fk_estimate(phi20, 2.0, 0.0, 0.5, _pin_cfg(20, 45)) == (
-        1.242159512953145, 0.005948025577972007)
+        1.2421595129531462, 0.005948025577971932)
 
 
 @pytest.mark.usefixtures("blocks_of_1000")

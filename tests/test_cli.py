@@ -214,7 +214,7 @@ def test_rate_work_over_budget_is_an_error(tmp_path, capsys, monkeypatch, argv):
     # each of the 4 x 9 calls fits (at most 1e6 x 6000 path-steps), all of them
     # together (1.35e11) do not
     (["limit-shape", "--lambda", "150", "--delta", "0.5", "--backend", "mc",
-      "--paths", "1000000"], "bridge budget", "_stream_weights"),
+      "--paths", "1000000"], "bridge budget", "_path_weights"),
 ])
 def test_shape_and_bridge_work_over_budget_is_an_error(tmp_path, capsys, monkeypatch, argv,
                                                         message, worker):
@@ -330,6 +330,7 @@ def test_cli_import_leaves_out_scipy_integrate():
     (["hitting-time", "--t", "inf", "--x", "0.5", "--lambda", "4", "--paths", "100"],
      "--x and --lambda must be finite"),
     (["limit-shape", "--lambda", "inf", "--delta", "0.5"], "finite lam >= 4"),
+    (["rate", "--lambda", "0"], "lam must lie in (0, 32]"),
 ])
 def test_bad_values_of_other_subcommands_are_errors(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
@@ -360,6 +361,18 @@ def test_bad_width_is_an_error(tmp_path, capsys, argv, width):
 def test_bad_amplitude_or_center_is_an_error(tmp_path, capsys, argv, flag, value):
     assert main([*argv, flag, value, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {flag} must be finite, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amplitude", ["1e308", "-1e308", "1e200", "1e100"])
+def test_spectral_amplitude_beyond_the_float_range_is_an_error(tmp_path, capsys, amplitude):
+    # the eigenvalue bisection finds nothing at +-1e308; the bound overflows
+    # at 1e200 and the L4 norm in gns_ratio at 1e100
+    argv = ["spectral", f"--amplitude={amplitude}", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --amplitude {float(amplitude):g} ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -266,15 +266,19 @@ def test_scaling_identity():
 
 
 def test_operator_norm_heat_contraction():
-    # wide box so the lowest Dirichlet mode sits within 1e-6 of 1
-    sg = SpaceGrid(2000.0, 4001)
+    # the CN heat step is symmetric with eigenvalues (1 + h a/2)/(1 - h a/2)
+    # on the modes of (1/2)D, a = -(2/dx^2) sin^2(k pi/(2(m + 1))) for m
+    # interior nodes, so the norm over n steps is that of the lowest mode to
+    # the n-th power; on this box the power iteration settles in 27 steps
+    sg = SpaceGrid(10.0, 201)
     tg = TimeGrid(0.0, 2.0, 200)
-    rho = zero_deviation(tg, sg)
-    start = np.cos(np.pi * sg.x / (2 * sg.half_width))
-    res = operator_norm(rho, 0.0, 2.0, iters=40, start=start)
+    res = operator_norm(zero_deviation(tg, sg), 0.0, 2.0, iters=60)
+    a = -(2.0 / sg.dx**2) * math.sin(math.pi / (2 * (sg.n_points - 1))) ** 2
+    h = tg.dt
+    exact = ((1 + h * a / 2) / (1 - h * a / 2)) ** tg.n_steps
     assert res.converged
-    assert res.value <= 1.0
-    assert res.value == pytest.approx(1.0, abs=1e-6)
+    assert res.value <= exact < 1.0
+    assert res.value == pytest.approx(exact, rel=1e-6)
 
 
 def test_operator_norm_sech2_tightness(grid20):
@@ -294,19 +298,6 @@ def test_operator_norm_random_bound():
         assert est <= math.exp(f_time_integral(rho)) * (1 + 1e-3)
     with pytest.raises(ValueError):
         operator_norm(rho, 0.0, 2.0, iters=5)
-
-
-@pytest.mark.parametrize("start, message", [
-    (np.ones(50), "start has shape"),
-    (np.where(np.arange(51) == 25, np.nan, 1.0), "start has non-finite"),
-    (np.zeros(51), "start is zero"),
-    (np.eye(51)[0], "start is zero"),  # nonzero only on a wall node
-])
-def test_operator_norm_rejects_bad_start(start, message):
-    sg = SpaceGrid(5.0, 51)
-    rho = zero_deviation(TimeGrid(0.0, 1.0, 20), sg)
-    with pytest.raises(ValueError, match=message):
-        operator_norm(rho, 0.0, 1.0, iters=10, start=start)
 
 
 def test_adjoint_heat_time_reversal():
@@ -470,15 +461,13 @@ def _pinned_outputs(name, nt):
         return (propagate(rho, 0.0, tg.t_end, f).values,
                 propagate(rho, mid, tg.t_end, f).values)
     if name.startswith("operator_norm"):
-        s, t, iters, start = 0.0, tg.t_end, 10, None
+        s, t, iters = 0.0, tg.t_end, 10
         if name == "operator_norm_subspan":
             # interior ends from nt = 31 on; nt = 1 has only the whole span
             s, t = tg.times[(nt + 1) // 3], tg.times[nt - (nt - 1) // 4]
         elif name == "operator_norm_converged":
             iters = 60  # every count but nt = 1 stops early, after 9 to 26 iterations
-        elif name == "operator_norm_start":
-            iters, start = 60, np.exp(-rho.sgrid.x**2)
-        res = operator_norm(rho, s, t, iters=iters, start=start)
+        res = operator_norm(rho, s, t, iters=iters)
         return np.array([res.value, res.iterations, res.converged]),
     if name == "adjoint_solve":
         return adjoint_solve(rho, f).values,
@@ -506,9 +495,6 @@ SWEEP_PINS = [
     ("operator_norm_converged",
      "b987032703dc1dda0f9d7c6f9dff8283534544189221df6808a674d11db8ab66",
      "e13980a4375960b95c5490ccfcc25ae06e7751a65971b5536d9e649d9fc04901"),
-    ("operator_norm_start",
-     "1ee2ee6174ed1fc47949a8f26d8c3a8b583b6f89079759175fddc15246e4950f",
-     "5a97f301b3f3a1213e8bcf405b88ba0af2c6e81a54ce3a6e831af47a3fe71407"),
     ("adjoint_solve",
      "7d75e5c457f9dc8fe9399dbaae617f24166965e384da6f84aa70a24ec386c145",
      "2ced8d9614723f4863cc25e36170a97c87629235c8f4308cda01d668b06c3816"),

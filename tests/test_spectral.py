@@ -41,10 +41,6 @@ def test_rayleigh_examples(grid20, sech2_20):
 def test_ground_state_examples(grid20, sech2_20):
     gs = ground_state(sech2_20)
     assert gs.value == pytest.approx(0.5, abs=1e-4)
-    # consistency between the eigenvalue and the energy form
-    assert rayleigh(gs.eigenfunction, sech2_20) == pytest.approx(gs.value, abs=1e-8)
-    assert l2_norm_space(gs.eigenfunction) == pytest.approx(1.0, abs=1e-10)
-    assert gs.eigenfunction.values.min() >= 0.0
     # the eigenvalue dominates every trial energy
     assert gs.value >= rayleigh(sech_state(grid20), sech2_20) - 1e-12
 
@@ -133,15 +129,15 @@ def _digest(*arrays) -> str:
 
 
 def test_ground_state_pinned():
-    # eigenpairs pinned bitwise: signed random potentials at n = 201 and
+    # eigenvalues pinned bitwise: signed random potentials at n = 201 and
     # sech^2 at n = 4001
     rng = rng_from_seed(71)
     phis = [random_smooth_potential(rng, SpaceGrid(10.0, 201), nonneg=False) for _ in range(8)]
     phis.append(rho_star(SpaceGrid(20.0, 4001)))
-    states = [ground_state(phi) for phi in phis]
-    assert states[-1].value == 0.5000019444729875
-    assert _digest(*(a for gs in states for a in ([gs.value], gs.eigenfunction.values))) == (
-        "bb203a5117b72abdf2c0d690d21dcd5bd2db463cfd0fe8ba26a550617e55ba13")
+    values = [ground_state(phi).value for phi in phis]
+    assert values[-1] == 0.5000019444729875
+    assert _digest(values) == (
+        "1b63cc086302dfb04a432845e18bec4b97a62fdeebe9bebddf25925df247df65")
 
 
 def test_f_time_integral_pinned():
@@ -150,6 +146,16 @@ def test_f_time_integral_pinned():
     values = [f_time_integral(random_smooth_deviation(rng, tg, sg)) for _ in range(6)]
     assert values[0] == 0.6543295032511404
     assert _digest(values) == "54c89b5ff636e32e1991b94666d0e337e764a9d30218d03bf5de8a24c093d29a"
+
+
+@pytest.mark.parametrize("amplitude", [1e308, -1e308])
+def test_eigenvalue_beyond_the_float_range_raises(grid20, amplitude):
+    # dstebz returns no eigenvalue for these entries
+    phi = Potential(grid20, amplitude * rho_star(grid20).values)
+    with pytest.raises(np.linalg.LinAlgError, match="no eigenvalue"):
+        ground_state(phi)
+    with pytest.raises(np.linalg.LinAlgError, match="no eigenvalue"):
+        f_time_integral(SpaceTimeDeviation.time_constant(TimeGrid(0.0, 1.0, 4), phi))
 
 
 # on the half of SpaceGrid(10, 401) the Dirichlet eigenproblem has its wall
