@@ -308,6 +308,7 @@ def hitting_density(s, t: float, x: float, lam: float):
 
     Closed form sqrt(lam^3 t x^2) / sqrt(2 pi s^3 (lam t - s)) *
     exp(-((lam t - s)/(2 lam t s)) (lam x)^2); zero outside (0, lam t).
+    Raises ValueError where a term of it leaves the float range.
     """
     if not (0 < t < math.inf and 0 < lam < math.inf):
         raise ValueError("need finite t > 0 and lam > 0")
@@ -319,8 +320,12 @@ def hitting_density(s, t: float, x: float, lam: float):
     out = np.zeros_like(s)
     inside = (s > 0) & (s < lam * t)
     si = s[inside]
-    pref = np.sqrt(lam**3 * t * x**2) / np.sqrt(2.0 * np.pi * si**3 * (lam * t - si))
-    out[inside] = pref * np.exp(-((lam * t - si) / (2.0 * lam * t * si)) * (lam * x) ** 2)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            pref = np.sqrt(lam**3 * t * x**2) / np.sqrt(2.0 * np.pi * si**3 * (lam * t - si))
+            out[inside] = pref * np.exp(-((lam * t - si) / (2.0 * lam * t * si)) * (lam * x) ** 2)
+    except (OverflowError, FloatingPointError) as exc:
+        raise ValueError(f"the hitting density leaves the float range ({exc.args[-1]})") from None
     return float(out) if out.ndim == 0 else out
 
 

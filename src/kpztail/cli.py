@@ -81,6 +81,9 @@ def _named_potential(name: str, grid: SpaceGrid, amplitude: float, width: float,
     for flag, value in (("--amplitude", amplitude), ("--center", center)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value:g}")
+    if width < grid.dx:
+        raise ValueError(f"--width must be at least the space step {grid.dx:g}, got {width:g}; "
+                         "a narrower bump is a one-node spike")
     if name == "rstar":
         return spectral.r_star(grid)
     with np.errstate(over="ignore"):  # far from the center the bump is 0, even where y overflows
@@ -107,6 +110,12 @@ def _cmd_spectral(args) -> int:
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise ValueError(f"--amplitude {args.amplitude:g} takes the spectral report out of "
                          f"the float range ({exc})") from None
+    except ValueError as exc:
+        if not phi.values.any():  # the bump lies outside the box
+            raise
+        # a bump far wider than the box is constant on it
+        raise ValueError(f"--width {args.width:g} makes the potential constant on the box "
+                         f"({exc})") from None
     report = {
         "potential": args.phi,
         "F": f_value,
@@ -250,7 +259,10 @@ def _cmd_hitting_time(args) -> int:
         raise ValueError("--t, --x and --lambda must be finite")
     horizon = args.lam * args.t
     s_vals = np.linspace(horizon / 400, horizon * (1 - 1e-6), 400)
-    dens = bridge.hitting_density(s_vals, args.t, args.x, args.lam)
+    try:
+        dens = bridge.hitting_density(s_vals, args.t, args.x, args.lam)
+    except ValueError as exc:
+        raise ValueError(f"--t {args.t:g}, --x {args.x:g}, --lambda {args.lam:g}: {exc}") from None
     cfg = bridge.BridgeConfig(n_paths=args.paths, n_time_steps=args.steps, seed=args.seed)
     hits = bridge.first_hitting_times(args.lam * args.x, horizon, cfg)
     edges = np.linspace(0.0, horizon, args.bins + 1)

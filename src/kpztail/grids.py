@@ -223,9 +223,6 @@ class Field:
         if self.strictly_positive and not np.all(self.values > 0):
             raise ValueError("Field flagged strictly_positive but holds non-positive values")
 
-    def at(self, t: float, x: float) -> float:
-        return float(self.values[self.tgrid.index_of(t), self.sgrid.index_of(x)])
-
 
 def heat_kernel(t, x):
     """Gaussian kernel (2*pi*t)^(-1/2) exp(-x^2/(2t)); t must be positive."""

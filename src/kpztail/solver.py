@@ -56,8 +56,7 @@ results are bitwise those of `dptsv`.  Two callers build one:
   steps at n = 801;
 - a time-constant deviation (`SpaceTimeDeviation.time_constant`, rows held
   as one stride-0 view) has the same M on every interval, so its delta
-  march and the sweeps of `propagate` and `adjoint_solve` share one
-  factorization.
+  march and the sweep of `adjoint_solve` share one factorization.
 The march stores only the time nodes its caller keeps.
 
 Elsewhere a time-varying deviation's steps are each taken once per sweep.
@@ -80,9 +79,9 @@ delta march normalizes the warm-up kernel on the full grid and keeps its
 x >= 0 half, so it agrees with the full line's march of the even extension
 up to round-off (the factorization starts at the centre, not at the left
 wall).  The gradient runs the full line's recursion in the coordinates
-W^-1 a and scales the partials by the node multiplicities.  `propagate`,
-`operator_norm` and `adjoint_solve` are not validated on a half line and
-refuse one; on it a step is not its own transpose.
+W^-1 a and scales the partials by the node multiplicities.  `operator_norm`
+and `adjoint_solve` are not validated on a half line and refuse one; on it
+a step is not its own transpose.
 
 Measured on a 2-vCPU Xeon VM (traced benchmark runs, perfbench seed 0,
 medians of three pairs):
@@ -185,8 +184,8 @@ class _Stepper:
 
     A step is M^{-1} N v = M^{-1}(2v) - v, since N = 2I - M: one solve with
     W M and one subtraction.  W M's diagonal comes from kin_diag + rho_mid
-    (`_m_diagonal`), for one interval or for a chunk of intervals at once
-    (see `_IntervalBands`).  W M is symmetric, and its off-diagonal
+    (`_m_diagonal`), for one interval or for a span of intervals at once
+    (`_interval_diagonals`).  W M is symmetric, and its off-diagonal
     (`_m_offdiag`) depends on h alone: the Dirichlet wall rows are identity
     rows, decoupled from their neighbours, and on a half line the centre
     row, which couples to node 1 with weight 2, is halved by W.
@@ -215,6 +214,17 @@ class _Stepper:
             m_diag[..., 0] = 1.0
         m_diag[..., -1] = 1.0
         return m_diag
+
+    def _interval_diagonals(self, vals: np.ndarray, h: float, lo: int, hi: int,
+                            out: np.ndarray) -> np.ndarray:
+        """Diagonals of W M for steps of length h over the time intervals
+        lo, ..., hi - 1 of the rows `vals`, one row per interval, built in
+        `out`: kin_diag + 0.5 (rho_k + rho_k+1), then `_m_diagonal` in place.
+        Each entry takes the operations of `step`'s one-row build."""
+        diag = np.add(vals[lo:hi], vals[lo + 1:hi + 1], out=out)
+        diag *= 0.5
+        diag += self.kin_diag
+        return self._m_diagonal(h, diag)
 
     def _m_offdiag(self, h: float) -> np.ndarray:
         """Off-diagonal of W M for steps of length h."""
@@ -249,19 +259,13 @@ class _Stepper:
 
         return step
 
-    def sweep(self, v: np.ndarray, rho: SpaceTimeDeviation, ks: int, kt: int) -> np.ndarray:
-        """Steps over the time intervals ks, ..., kt - 1 of rho's grid, in order."""
-        step = self.interval_steps(rho, rho.tgrid.dt)
-        for k in range(ks, kt):
-            v = step(v, k)
-        return v
-
     def sweep_transpose(self, v: np.ndarray, rho: SpaceTimeDeviation, ks: int, kt: int,
                         out: np.ndarray | None = None) -> np.ndarray:
-        """The transpose of `sweep` on a full line: the same steps over the
-        intervals kt - 1, ..., ks, since each step 2 M^{-1} - I is symmetric
-        on the wall-pinned subspace.  Row k of `out` (if given) receives the
-        value at time node k."""
+        """Steps over the time intervals kt - 1, ..., ks of rho's grid, in that
+        order.  On a full line this is the transpose of the same steps taken
+        in ascending order, since each step 2 M^{-1} - I is symmetric on the
+        wall-pinned subspace.  Row k of `out` (if given) receives the value at
+        time node k."""
         step = self.interval_steps(rho, rho.tgrid.dt, descending=True)
         for k in range(kt - 1, ks - 1, -1):
             v = step(v, k)
@@ -276,7 +280,7 @@ class _FactoredSpan:
 
     Every interval keeps its dpttrf factors (the diagonal of D and the
     off-diagonal of L in W M = L D L^T), built for the whole span in array
-    operations, each entry by the same elementwise operations as in `step`.
+    operations (`_Stepper._interval_diagonals`).
     A step is then one dpttrs and one subtraction, bitwise equal to `step`.
     A time-constant rho (stride-0 rows) has one factorization shared by
     every interval.  A W M that is not positive definite raises LinAlgError
@@ -290,12 +294,8 @@ class _FactoredSpan:
         shared = vals.strides[0] == 0
         lo, hi = (0, 1) if shared else (ks, kt)
         rows, n = hi - lo, vals.shape[1]
-        # kin_diag + 0.5 (rho_k + rho_k+1), then W M's diagonal in its storage;
         # both bands are C-ordered, so dpttrf factors each row in place
-        diag = np.add(vals[lo:hi], vals[lo + 1:hi + 1], out=np.empty((rows, n)))
-        diag *= 0.5
-        diag += stepper.kin_diag
-        d = stepper._m_diagonal(h, diag)
+        d = stepper._interval_diagonals(vals, h, lo, hi, np.empty((rows, n)))
         e = np.tile(stepper._m_offdiag(h), (rows, 1))
         for j in range(rows):
             if dpttrf(d[j], e[j], 1, 1)[2] > 0:
@@ -315,8 +315,7 @@ class _IntervalBands:
     """W M's diagonal of time interval k of rho for steps of length h.
 
     The diagonals are built for CHUNK intervals at a time in whole-array
-    operations, each entry by the same elementwise operations as a one-row
-    `_Stepper._m_diagonal` call, so they are bitwise those of `step`.  A
+    operations (`_Stepper._interval_diagonals`), bitwise those of `step`.  A
     read outside the current chunk replaces it by the CHUNK intervals that
     continue from k in the sweep's direction: upward from k after reads
     below it, downward to k after reads above it.  An empty chunk sits at
@@ -342,12 +341,7 @@ class _IntervalBands:
                 lo, hi = max(k + 1 - CHUNK, 0), k + 1
             if self._buf is None:
                 self._buf = np.empty((min(CHUNK, self._nt), self._vals.shape[1]))
-            vals = self._vals
-            # kin_diag + 0.5 (rho_k + rho_k+1), then W M's diagonal in place
-            diag = np.add(vals[lo:hi], vals[lo + 1:hi + 1], out=self._buf[:hi - lo])
-            diag *= 0.5
-            diag += self._stepper.kin_diag
-            self._stepper._m_diagonal(self._h, diag)
+            self._stepper._interval_diagonals(self._vals, self._h, lo, hi, self._buf[:hi - lo])
             self._lo, self._hi = lo, hi
         return self._buf[k - self._lo]
 
@@ -504,7 +498,7 @@ def solve_delta_scaled(rho: SpaceTimeDeviation, keep=None) -> ScaledSolution:
 def solve_delta_at(rho: SpaceTimeDeviation, t: float, x: float) -> float:
     """Z(rho; t, x) from a delta at (0, 0), storing only the row of time t.
 
-    Bitwise equal to `solve_delta(rho).at(t, x)`.
+    Bitwise equal to the (t, x) entry of `solve_delta(rho).values`.
     """
     return solve_delta_scaled(rho, keep=[rho.tgrid.index_of(t)]).value_at(t, x)
 
@@ -512,23 +506,6 @@ def solve_delta_at(rho: SpaceTimeDeviation, t: float, x: float) -> float:
 def solve_delta(rho: SpaceTimeDeviation) -> Field:
     """Solve dZ/dt = Z_xx/2 + rho Z from a Dirac delta at (0, 0)."""
     return _march_delta(rho).field()
-
-
-def propagate(rho: SpaceTimeDeviation, s: float, t: float, f: Potential) -> Potential:
-    """Evolve f from time s to time t under D/2 + rho; linear in f."""
-    require_full_line(rho.sgrid, "propagate")
-    if not s < t:
-        raise ValueError(f"propagate needs s < t, got s={s}, t={t}")
-    tg = rho.tgrid
-    ks, kt = tg.index_of(s), tg.index_of(t)
-    if f.grid != rho.sgrid:
-        raise ValueError("potential grid does not match deviation grid")
-    v = f.values.copy()
-    v[0] = 0.0
-    v[-1] = 0.0
-    v = _Stepper(rho.sgrid).sweep(v, rho, ks, kt)
-    _require_finite(v, "propagation sweep")
-    return Potential(rho.sgrid, v)
 
 
 @dataclass(frozen=True)

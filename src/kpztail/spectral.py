@@ -42,26 +42,6 @@ class GroundState:
     value: float
 
 
-def rayleigh(g: Potential, phi: Potential) -> float:
-    """Energy form (int phi g^2 - (1/2) (g')^2) / ||g||^2.
-
-    Uses the summation-by-parts kinetic term sum((g[i+1]-g[i])/dx)^2, the
-    exact quadratic form of the eigenvalue matrix, so rayleigh(ground
-    state) reproduces ground_state(phi).value to round-off.
-    """
-    if g.grid != phi.grid:
-        raise ValueError("g and phi live on different grids")
-    dx = g.grid.dx
-    gv = g.values
-    norm_sq = float(np.dot(gv, gv) * dx)
-    if norm_sq <= 0:
-        raise ValueError("rayleigh quotient needs a nonzero trial function")
-    pot_term = float(np.dot(phi.values, gv * gv) * dx)
-    diff = np.diff(gv) / dx
-    kinetic = 0.5 * float(np.dot(diff, diff) * dx)
-    return (pot_term - kinetic) / norm_sq
-
-
 def _top_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
     """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
     `diag` and off-diagonal `off`.
@@ -108,6 +88,8 @@ def gns_ratio(g: Potential) -> float:
     l4 = np.dot(w, gv**4) ** 0.25
     gp = np.gradient(gv, dx)
     dl2 = np.sqrt(np.dot(w, gp * gp))
+    if dl2 <= 0:
+        raise ValueError("gns_ratio needs a function that is not constant")
     return float(l4 / (dl2**0.25 * l2**0.75))
 
 

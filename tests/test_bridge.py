@@ -33,7 +33,7 @@ from kpztail.grids import (
     heat_kernel,
     standard_time_grid,
 )
-from kpztail.solver import solve_delta, solve_delta_scaled
+from kpztail.solver import solve_delta_at, solve_delta_scaled
 from kpztail.spectral import rho_star
 from kpztail.testing import rng_from_seed
 
@@ -107,7 +107,7 @@ def test_fk_constant_potential_factorizes(phi20):
 def test_fk_matches_pde(phi20):
     mean, se = fk_estimate(phi20, 4.0, 0.0, 0.0, BridgeConfig(n_paths=200_000, seed=11))
     tg = TimeGrid(0.0, 4.0, 800)
-    z = solve_delta(SpaceTimeDeviation.time_constant(tg, phi20)).at(4.0, 0.0)
+    z = solve_delta_at(SpaceTimeDeviation.time_constant(tg, phi20), 4.0, 0.0)
     assert abs(mean - z) <= 3 * se
 
 

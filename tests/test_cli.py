@@ -312,6 +312,7 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, message", [
     (["limit-shape", "--lambda", "8", "--delta", "0.5", "--dx", "0"], "dx must be positive"),
     (["limit-shape", "--lambda", "8", "--delta", "0.5", "--dt", "0.001"],
@@ -331,10 +332,17 @@ def test_cli_import_leaves_out_scipy_integrate():
      "--x and --lambda must be finite"),
     (["limit-shape", "--lambda", "inf", "--delta", "0.5"], "finite lam >= 4"),
     (["rate", "--lambda", "0"], "lam must lie in (0, 32]"),
+    (["hitting-time", "--t", "1", "--x", "1e300", "--lambda", "4", "--paths", "100"],
+     "--x 1e+300, --lambda 4: the hitting density leaves the float range"),
+    (["hitting-time", "--t", "1", "--x", "1", "--lambda", "1e300", "--paths", "100"],
+     "--lambda 1e+300: the hitting density leaves the float range"),
+    (["hitting-time", "--t", "1e-300", "--x", "1", "--lambda", "4", "--paths", "100"],
+     "--t 1e-300, --x 1, --lambda 4: the hitting density leaves the float range"),
 ])
 def test_bad_values_of_other_subcommands_are_errors(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -348,6 +356,36 @@ def test_bad_width_is_an_error(tmp_path, capsys, argv, width):
     # checked before the potential divides by it
     assert main([*argv, "--width", width, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: --width must be positive and finite, got {width}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("width", ["0.001", "1e-300"])
+@pytest.mark.parametrize("argv", [
+    ["spectral"],
+    ["fk", "--phi", "gaussian", "--duration", "1", "--paths", "100"],
+], ids=["spectral", "fk"])
+def test_width_below_the_space_step_is_an_error(tmp_path, capsys, argv, width):
+    # below the default dx = 0.01 the bump would be a one-node spike
+    assert main([*argv, "--width", width, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --width must be at least the space step 0.01, got {float(width):g}; "
+        "a narrower bump is a one-node spike\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_width_at_the_space_step_is_accepted(tmp_path):
+    assert main(["spectral", "--width", "0.01", "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectral_width_that_flattens_the_potential_is_an_error(tmp_path, capsys):
+    # sech^2(x / 1e300) is 1 at every node, so gns_ratio has no gradient to divide by
+    assert main(["spectral", "--width", "1e300", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --width 1e+300 makes the potential constant on the box")
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -1,9 +1,15 @@
-"""Every module-level import of the package and of its tests is used.
+"""Every module-level import is used, and the package holds no test-only code.
 
-No linter ships with the project, so this walks the syntax tree: a name that
-a top-level `import` binds must occur as a name somewhere else in the module
-(an annotation written as a string counts).  `from __future__` imports are
-exempt.
+No linter ships with the project, so this walks the syntax tree.
+- A name that a top-level `import` of the package or of its tests binds
+  must occur as a name somewhere else in the module (an annotation written
+  as a string counts).  `from __future__` imports are exempt.
+- Every module-level function and class of the package, and every method
+  of such a class, must be referenced by name in the package or in the
+  benchmark (`perfbench/`, its own tests excluded) outside its own
+  definition.  A reference is a name, an attribute or an imported name; in
+  the benchmark a string constant counts too, since its span targets are
+  looked up by string.  Dunder methods are exempt.
 """
 
 import ast
@@ -12,7 +18,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "kpztail").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "kpztail").glob("*.py"))
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _bound_names(node):
@@ -59,3 +67,64 @@ def test_the_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=[f"{p.parent.name}/{p.name}" for p in FILES])
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _definitions(tree):
+    """Module-level functions and classes, and the methods of those classes
+    (dunder methods excluded)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
+def _references(tree, strings: bool):
+    """(name, node) for every name, attribute and imported name, and for
+    every string constant if `strings`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node) for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node
+
+
+def unreferenced(package: dict[str, str], bench: dict[str, str]) -> list[str]:
+    """`module.name` of each definition in the `package` sources (module name
+    -> source) that no reference in `package` or `bench` reaches from
+    outside the definition itself."""
+    trees = {name: ast.parse(src) for name, src in package.items()}
+    refs = {}
+    for tree, strings in [*((t, False) for t in trees.values()),
+                          *((ast.parse(src), True) for src in bench.values())]:
+        for name, node in _references(tree, strings):
+            refs.setdefault(name, []).append(node)
+    missing = []
+    for module, tree in trees.items():
+        for d in _definitions(tree):
+            inside = {id(node) for node in ast.walk(d)}
+            if all(id(node) in inside for node in refs.get(d.name, [])):
+                missing.append(f"{module}.{d.name}")
+    return missing
+
+
+def test_the_checker_finds_test_only_code():
+    package = {
+        "a": ("import b\nclass C:\n    def __init__(self): self.used()\n"
+              "    def used(self): return helper()\n    def unused(self): return self.unused()\n"
+              "def helper(): return C\ndef recursive(n): return recursive(n - 1)\n"
+              "def by_string(): pass\ndef imported(): pass\ndef named_in_a_string(): pass\n"),
+        "b": "from a import imported\nprint('named_in_a_string')\n",
+    }
+    bench = {"spans": "TARGETS = (('a', 'by_string'),)\n"}
+    assert unreferenced(package, bench) == ["a.unused", "a.recursive", "a.named_in_a_string"]
+
+
+def test_no_test_only_code_in_the_package():
+    assert unreferenced({p.stem: p.read_text() for p in PACKAGE},
+                        {p.stem: p.read_text() for p in BENCH}) == []

@@ -22,7 +22,6 @@ from kpztail.solver import (
     chaos_series_point,
     log_terminal_and_gradient,
     operator_norm,
-    propagate,
     solve_delta,
     solve_delta_at,
     solve_delta_scaled,
@@ -70,10 +69,19 @@ def test_grid_convergence_second_order():
         sg = SpaceGrid(10.0, n_x)
         tg = TimeGrid(0.0, 2.0, n_t)
         rho = SpaceTimeDeviation.time_constant(tg, rho_star(sg))
-        vals.append(solve_delta(rho).at(2.0, 0.0))
+        vals.append(solve_delta_at(rho, 2.0, 0.0))
     d1 = abs(vals[1] - vals[0])
     d2 = abs(vals[2] - vals[1])
     assert d2 <= d1 / 3.0  # ~4x shrink for a second-order scheme
+
+
+def _sweep(rho, v, ks, kt):
+    """The steps over the time intervals ks, ..., kt - 1 of rho, in order,
+    through `_Stepper.interval_steps`."""
+    step = _Stepper(rho.sgrid).interval_steps(rho, rho.tgrid.dt)
+    for k in range(ks, kt):
+        v = step(v, k)
+    return v
 
 
 def _sech2_kernel(t, x):
@@ -170,61 +178,9 @@ def test_sweeps_raise_on_overflow():
     f = Potential(sg, np.exp(-sg.x**2))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverInstabilityError, match="non-finite"):
-            propagate(rho, 0.0, 4.0, f)
-        with pytest.raises(SolverInstabilityError, match="non-finite"):
             operator_norm(rho, 0.0, 4.0, iters=10)
         with pytest.raises(SolverInstabilityError, match="non-finite"):
             adjoint_solve(rho, f)
-
-
-def test_propagate_heat_semigroup():
-    sg = SpaceGrid(20.0, 4001)
-    tg = TimeGrid(0.0, 2.0, 400)
-    rho = zero_deviation(tg, sg)
-    f = Potential(sg, heat_kernel(1.0, sg.x))
-    out = propagate(rho, 0.0, 1.0, f)
-    err = np.max(np.abs(out.values - heat_kernel(2.0, sg.x))) / heat_kernel(2.0, 0.0)
-    assert err <= 1e-5
-
-
-def test_propagate_composition_is_exact():
-    sg = SpaceGrid(20.0, 1001)
-    tg = TimeGrid(0.0, 2.0, 200)
-    rho = SpaceTimeDeviation.time_constant(tg, rho_star(sg))
-    f = Potential(sg, heat_kernel(1.0, sg.x))
-    once = propagate(rho, 0.0, 2.0, f)
-    twice = propagate(rho, 1.0, 2.0, propagate(rho, 0.0, 1.0, f))
-    assert np.max(np.abs(once.values - twice.values)) <= 1e-8
-
-
-def test_propagate_linear_and_ordering():
-    sg = SpaceGrid(10.0, 401)
-    tg = TimeGrid(0.0, 1.0, 100)
-    rho = SpaceTimeDeviation.time_constant(tg, rho_star(sg))
-    f = Potential(sg, heat_kernel(0.5, sg.x))
-    g = Potential(sg, heat_kernel(1.5, sg.x))
-    combo = propagate(rho, 0.0, 1.0, Potential(sg, 2.0 * f.values + 3.0 * g.values))
-    parts = 2.0 * propagate(rho, 0.0, 1.0, f).values + 3.0 * propagate(rho, 0.0, 1.0, g).values
-    assert np.max(np.abs(combo.values - parts)) <= 1e-12
-    with pytest.raises(ValueError):
-        propagate(rho, 1.0, 1.0, f)
-
-
-def test_propagate_growth_matches_ground_state():
-    # (1/t) log <P f, f> stabilizes at the ground-state value for f = sech/sqrt(2)
-    sg = SpaceGrid(20.0, 2001)
-    f = Potential(sg, 1.0 / np.cosh(sg.x) / math.sqrt(2.0))
-    w = sg.trapezoid_weights()
-    rates = []
-    for t_end in (4.0, 8.0):
-        tg = TimeGrid(0.0, t_end, int(t_end / 0.01))
-        rho = SpaceTimeDeviation.time_constant(tg, rho_star(sg))
-        val = float(np.dot(w, propagate(rho, 0.0, t_end, f).values * f.values))
-        rates.append(math.log(val) / t_end)
-    # f is the ground state, so the rate is flat at the discrete eigenvalue
-    for r in rates:
-        assert r == pytest.approx(0.5, abs=1e-3)
-    assert abs(rates[1] - rates[0]) <= 1e-6
 
 
 def test_chaos_series_examples():
@@ -233,7 +189,7 @@ def test_chaos_series_examples():
     rho = SpaceTimeDeviation.time_constant(tg, Potential(sg, 0.1 / np.cosh(sg.x) ** 2))
     # order 0 is the bare kernel
     assert chaos_series_point(rho, 1.0, 0.0, 0) == heat_kernel(1.0, 0.0)
-    z_cn = solve_delta(rho).at(1.0, 0.0)
+    z_cn = solve_delta_at(rho, 1.0, 0.0)
     sums = [chaos_series_point(rho, 1.0, 0.0, k) for k in range(7)]
     assert abs(sums[6] - z_cn) / z_cn <= 1e-3
     diffs = [abs(b - a) for a, b in zip(sums, sums[1:])]
@@ -258,10 +214,10 @@ def test_scaling_identity():
     tg_short = TimeGrid(0.0, 2.0, 500)
     scaled = SpaceTimeDeviation.time_constant(
         tg_short, Potential(sg, lam / np.cosh(math.sqrt(lam) * sg.x) ** 2))
-    lhs = solve_delta(scaled).at(2.0, 0.0)
+    lhs = solve_delta_at(scaled, 2.0, 0.0)
     tg_long = TimeGrid(0.0, 2.0 * lam, 2000)
-    rhs = math.sqrt(lam) * solve_delta(
-        SpaceTimeDeviation.time_constant(tg_long, rho_star(sg))).at(2.0 * lam, 0.0)
+    rhs = math.sqrt(lam) * solve_delta_at(
+        SpaceTimeDeviation.time_constant(tg_long, rho_star(sg)), 2.0 * lam, 0.0)
     assert lhs == pytest.approx(rhs, rel=1e-3)
 
 
@@ -384,8 +340,10 @@ def test_time_constant_march_matches_materialized(half_width, n_points, t_end, n
     # the sweeps factor M once too, forward and transposed
     t = min(t_end, 1.0)
     f = Potential(sg, np.exp(-sg.x**2))
-    assert np.array_equal(propagate(constant, 0.0, t, f).values,
-                          propagate(copied, 0.0, t, f).values)
+    v = f.values.copy()
+    v[[0, -1]] = 0.0
+    kt = tg.index_of(t)
+    assert np.array_equal(_sweep(constant, v, 0, kt), _sweep(copied, v, 0, kt))
     assert operator_norm(constant, 0.0, t, iters=10) == operator_norm(copied, 0.0, t, iters=10)
     assert np.array_equal(adjoint_solve(constant, f).values, adjoint_solve(copied, f).values)
     if not pivot_rows:
@@ -405,7 +363,8 @@ def test_kept_rows_match_full_march():
         assert np.array_equal(part.rows, full.rows[keep])
         assert np.array_equal(part.log_scale, full.log_scale[keep])
         assert part.log_at(0.37, 1.0) == full.log_at(0.37, 1.0)
-        assert solve_delta_at(rho, 2.0, 0.5) == solve_delta(rho).at(2.0, 0.5)
+        assert solve_delta_at(rho, 2.0, 0.5) == solve_delta(rho).values[
+            tg.index_of(2.0), sg.index_of(0.5)]
         with pytest.raises(ValueError, match="not among the kept"):
             part.log_at(0.5, 0.0)
         with pytest.raises(ValueError, match="every time node"):
@@ -456,10 +415,6 @@ def _pinned_outputs(name, nt):
     if name == "solve_delta_scaled":
         sol = solve_delta_scaled(rho)
         return sol.rows, sol.log_scale
-    if name == "propagate":
-        mid = tg.times[(nt + 1) // 3]
-        return (propagate(rho, 0.0, tg.t_end, f).values,
-                propagate(rho, mid, tg.t_end, f).values)
     if name.startswith("operator_norm"):
         s, t, iters = 0.0, tg.t_end, 10
         if name == "operator_norm_subspan":
@@ -483,9 +438,6 @@ SWEEP_PINS = [
     ("solve_delta_scaled",
      "d679aef3b6806656cb80fb8f59bece178980099e02078257de4d41052944ba63",
      "5041616a9c9b627f6149e205a7f8f31d4f89fde4a89bf6eeee927dc13313d009"),
-    ("propagate",
-     "92fdd5ad1eff0c2b2d31126de027f20870cff93563aaa7340cfe07ee70393e2f",
-     "110f86c84f75878e38610e3cad8a0bf804c45835f2114ddf9342cbbee03b241b"),
     ("operator_norm",
      "0a24ee5c21ba34a2f98d5e889d2554493d8377419c07d5442267f9a11fdac7e1",
      "a06426e040dc36d26649edbba3487d9d22e2ba20607bfdc3daff404263178308"),
@@ -519,16 +471,15 @@ def test_time_varying_singular_step_raises():
     vals = np.zeros((41, 3))
     vals[35:37] = 3.0
     rho = SpaceTimeDeviation(tg, sg, vals)
-    stepper = _Stepper(sg)
     v = np.array([0.0, 1.0, 0.0])
     with pytest.raises(np.linalg.LinAlgError):
-        stepper.sweep(v, rho, 0, 40)
+        _sweep(rho, v, 0, 40)
     with pytest.raises(np.linalg.LinAlgError):
-        stepper.sweep_transpose(v, rho, 0, 40)
+        _Stepper(sg).sweep_transpose(v, rho, 0, 40)
     with pytest.raises(np.linalg.LinAlgError):
         operator_norm(rho, 0.0, 40.0, iters=10)
     with pytest.raises(np.linalg.LinAlgError):
-        propagate(rho, 30.0, 40.0, Potential(sg, v))
+        _sweep(rho, v, 30, 40)
 
 
 def test_full_line_sweep_transpose_is_the_transpose():
@@ -544,7 +495,7 @@ def test_full_line_sweep_transpose_is_the_transpose():
     u, v = rng.normal(size=(2, sg.n_points))
     u[[0, -1]] = v[[0, -1]] = 0.0
     stepper = _Stepper(sg)
-    lhs = np.dot(u, stepper.sweep(v, rho, 0, nt))
+    lhs = np.dot(u, _sweep(rho, v, 0, nt))
     assert lhs == pytest.approx(np.dot(stepper.sweep_transpose(u, rho, 0, nt), v), rel=1e-12)
     # the factored span of operator_norm, on an inner sub-span
     ks, kt = 7, nt - 3
@@ -555,7 +506,7 @@ def test_full_line_sweep_transpose_is_the_transpose():
     for k in range(kt - 1, ks - 1, -1):
         back = span.step(back, k)
     assert np.dot(u, fwd) == pytest.approx(np.dot(back, v), rel=1e-12)
-    assert np.array_equal(fwd, stepper.sweep(v, rho, ks, kt))
+    assert np.array_equal(fwd, _sweep(rho, v, ks, kt))
 
 
 def _long_double_march(sg, rho_mid, h, v, steps):
@@ -592,8 +543,7 @@ def test_march_matches_long_double_reference():
     phi = 1.0 / np.cosh(sg.x) ** 2
     f = np.exp(-sg.x**2)
     f[[0, -1]] = 0.0
-    got = propagate(SpaceTimeDeviation.time_constant(tg, Potential(sg, phi)), 0.0, 8.0,
-                    Potential(sg, f)).values
+    got = _sweep(SpaceTimeDeviation.time_constant(tg, Potential(sg, phi)), f, 0, tg.n_steps)
     want = _long_double_march(sg, phi, tg.dt, f, tg.n_steps)
     assert got[0] == 0.0 and got[-1] == 0.0
     big = np.abs(want) > 1e-250 * np.abs(want).max()
@@ -680,8 +630,7 @@ def test_half_line_rejected_where_not_validated():
     _, half = _even_case(4)
     hl = half.sgrid
     f = Potential(hl, np.exp(-hl.x**2))
-    for call in (lambda: propagate(half, 0.0, 0.08, f),
-                 lambda: operator_norm(half, 0.0, 0.08, iters=10),
+    for call in (lambda: operator_norm(half, 0.0, 0.08, iters=10),
                  lambda: adjoint_solve(half, f)):
         with pytest.raises(ValueError, match="half line"):
             call()

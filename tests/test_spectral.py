@@ -20,13 +20,30 @@ from kpztail.spectral import (
     potbd_bound,
     r_star,
     rho_star,
-    rayleigh,
 )
 from kpztail.testing import random_smooth_deviation, random_smooth_potential, rng_from_seed
 
 
 def sech_state(grid):
     return Potential(grid, 1.0 / np.cosh(grid.x) / math.sqrt(2.0))
+
+
+def rayleigh(g: Potential, phi: Potential) -> float:
+    """Energy form (int phi g^2 - (1/2) (g')^2) / ||g||^2, a lower bound on F(phi).
+
+    Uses the summation-by-parts kinetic term sum((g[i+1]-g[i])/dx)^2, the
+    exact quadratic form of the eigenvalue matrix, so rayleigh(ground
+    state) reproduces ground_state(phi).value to round-off.
+    """
+    assert g.grid == phi.grid
+    dx = g.grid.dx
+    gv = g.values
+    norm_sq = float(np.dot(gv, gv) * dx)
+    assert norm_sq > 0
+    pot_term = float(np.dot(phi.values, gv * gv) * dx)
+    diff = np.diff(gv) / dx
+    kinetic = 0.5 * float(np.dot(diff, diff) * dx)
+    return (pot_term - kinetic) / norm_sq
 
 
 def test_rayleigh_examples(grid20, sech2_20):

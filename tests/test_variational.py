@@ -10,7 +10,7 @@ from kpztail.grids import (
     TimeGrid,
     heat_kernel,
 )
-from kpztail.solver import solve_delta
+from kpztail.solver import solve_delta_at
 from kpztail.spectral import rho_star
 from kpztail.testing import rng_from_seed
 from kpztail.variational import (
@@ -66,9 +66,9 @@ def test_gradient_finite_differences():
         i = int(rng.integers(sg.center_index - 20, sg.center_index + 21))
         up = rho.values.copy()
         up[k, i] += h
-        zp = solve_delta(SpaceTimeDeviation(tg, sg, up)).at(2.0, 0.0)
+        zp = solve_delta_at(SpaceTimeDeviation(tg, sg, up), 2.0, 0.0)
         up[k, i] -= 2 * h
-        zm = solve_delta(SpaceTimeDeviation(tg, sg, up)).at(2.0, 0.0)
+        zm = solve_delta_at(SpaceTimeDeviation(tg, sg, up), 2.0, 0.0)
         fd = (zp - zm) / (2 * h)
         assert grad.values[k, i] * tg.dt * sg.dx == pytest.approx(fd, rel=1e-3)
 
