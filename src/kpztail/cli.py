@@ -259,10 +259,13 @@ def _cmd_hitting_time(args) -> int:
         raise ValueError("--t, --x and --lambda must be finite")
     horizon = args.lam * args.t
     s_vals = np.linspace(horizon / 400, horizon * (1 - 1e-6), 400)
+    where = f"--t {args.t:g}, --x {args.x:g}, --lambda {args.lam:g}"
     try:
         dens = bridge.hitting_density(s_vals, args.t, args.x, args.lam)
     except ValueError as exc:
-        raise ValueError(f"--t {args.t:g}, --x {args.x:g}, --lambda {args.lam:g}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
+    if not np.any(dens > 0):
+        raise ValueError(f"{where}: the hitting density underflows to 0 at every tabulated s")
     cfg = bridge.BridgeConfig(n_paths=args.paths, n_time_steps=args.steps, seed=args.seed)
     hits = bridge.first_hitting_times(args.lam * args.x, horizon, cfg)
     edges = np.linspace(0.0, horizon, args.bins + 1)

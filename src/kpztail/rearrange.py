@@ -23,15 +23,15 @@ from .grids import Potential, SpaceTimeDeviation, require_full_line
 
 
 def _rearrange_values(v: np.ndarray) -> np.ndarray:
-    n = v.shape[0]
-    m = (n - 1) // 2
-    s = np.sort(v)[::-1]
-    out = np.empty_like(v)
-    out[m] = s[0]
-    pair_sq = 0.5 * (s[1::2] ** 2 + s[2::2] ** 2)
+    """The rearrangement of every row of v, along its last axis."""
+    m = (v.shape[-1] - 1) // 2
+    s = np.sort(v)[..., ::-1]
+    out = np.empty(v.shape)
+    out[..., m] = s[..., 0]
+    pair_sq = 0.5 * (s[..., 1::2] ** 2 + s[..., 2::2] ** 2)
     shell = np.sqrt(pair_sq)
-    out[m + 1:] = shell
-    out[:m] = shell[::-1]
+    out[..., m + 1:] = shell
+    out[..., :m] = shell[..., ::-1]
     return out
 
 
@@ -44,14 +44,11 @@ def sym_decr_rearrange(f: Potential) -> Potential:
 
 
 def steiner(rho: SpaceTimeDeviation) -> SpaceTimeDeviation:
-    """Slice-wise rearrangement in space, one time slice at a time."""
+    """Slice-wise rearrangement in space, every time slice in one call."""
     require_full_line(rho.sgrid, "steiner")
     if np.any(rho.values < 0):
         raise ValueError("Steiner symmetrization requires rho >= 0")
-    out = np.empty(rho.values.shape)
-    for k in range(rho.values.shape[0]):
-        out[k] = _rearrange_values(rho.values[k])
-    return SpaceTimeDeviation(rho.tgrid, rho.sgrid, out)
+    return SpaceTimeDeviation(rho.tgrid, rho.sgrid, _rearrange_values(rho.values))
 
 
 def hardy_littlewood_check(f: Potential, g: Potential) -> tuple[float, float]:
@@ -72,7 +69,9 @@ def bll_check(f1: Potential, f2: Potential, f3: Potential, coeffs) -> tuple[floa
 
     lhs = int int f1(a11 x1 + a12 x2) f2(a21 x1 + a22 x2) f3(a31 x1 + a32 x2),
     rhs the same with every f_j rearranged; tensor trapezoid quadrature with
-    linear interpolation and zero extension off the grid.
+    linear interpolation and zero extension off the grid.  Each f_j and its
+    rearrangement are interpolated in one call, as the real and imaginary
+    parts of one complex table.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (3, 2):
@@ -89,17 +88,15 @@ def bll_check(f1: Potential, f2: Potential, f3: Potential, coeffs) -> tuple[floa
     w = grid.trapezoid_weights()
     x1 = x[:, None]
     x2 = x[None, :]
-
-    def tensor_integral(values3):
-        prod = np.ones((grid.n_points, grid.n_points))
-        for (a, b), vals in zip(coeffs, values3):
-            arg = a * x1 + b * x2
-            prod *= np.interp(arg, x, vals, left=0.0, right=0.0)
-        return float(w @ prod @ w)
-
-    lhs = tensor_integral([f.values for f in fs])
-    rhs = tensor_integral([_rearrange_values(f.values) for f in fs])
-    return lhs, rhs
+    lhs = np.ones((grid.n_points, grid.n_points))
+    rhs = np.ones((grid.n_points, grid.n_points))
+    for (a, b), f in zip(coeffs, fs):
+        table = f.values.astype(complex)
+        table.imag = _rearrange_values(f.values)
+        both = np.interp(a * x1 + b * x2, x, table, left=0.0, right=0.0)
+        lhs *= both.real
+        rhs *= both.imag
+    return float(w @ lhs @ w), float(w @ rhs @ w)
 
 
 def steiner_increases_z(rho: SpaceTimeDeviation) -> tuple[float, float]:

@@ -39,36 +39,34 @@ step whose W M is not positive definite raises np.linalg.LinAlgError (a
 ValueError) that names h and asks for a lower dt.
 
 The kernel is LAPACK's positive definite tridiagonal solver, LDL^T without
-pivots: one `dptsv` call per step, called directly because
-`solve_banded`'s argument validation costs several times the solve itself
-at n = 401.  The call does not check its input for non-finite values, so
-every sweep checks its result.
-
-A step matrix that is used more than once is factored once, in a factored
-span (`_FactoredSpan`): one `dpttrf` per interval, after which a step is one
-`dpttrs` and the subtraction.  dptsv is dpttrf followed by dpttrs, so the
-results are bitwise those of `dptsv`.  Two callers build one:
+pivots, called directly because `solve_banded`'s argument validation costs
+several times the solve itself at n = 401.  Every step takes one path:
+`dpttrf` factors W M = L D L^T, and the step is one `dpttrs` with those
+factors and the subtraction.  Neither call checks its input for non-finite
+values, so every sweep checks its result.  `_Factors` holds the factors of
+a sweep's intervals in one of three ways:
+- a time-constant deviation (`SpaceTimeDeviation.time_constant`, rows held
+  as one stride-0 view) has the same M on every interval, so its delta
+  march and the sweep of `adjoint_solve` share one factorization;
 - `operator_norm` factors every interval of its span once per call and
   reuses the factors in all 2 iters sweeps of its power iteration, which
   always starts from one fixed positive random vector (Philox key 7;
   there is no start argument).  The span holds about
   (kt - ks) n 16 bytes: 0.3 MB for 100 steps at n = 201, 10 MB for 800
   steps at n = 801;
-- a time-constant deviation (`SpaceTimeDeviation.time_constant`, rows held
-  as one stride-0 view) has the same M on every interval, so its delta
-  march and the sweep of `adjoint_solve` share one factorization.
-The march stores only the time nodes its caller keeps.
-
-Elsewhere a time-varying deviation's steps are each taken once per sweep.
-Their W M diagonals are built CHUNK intervals at a time in whole-array
-operations (`_IntervalBands`), for sweeps in either direction, and the
-off-diagonal once per sweep; the step loop runs only one `dptsv`, the
-subtraction and the checks.  Each entry goes through the same elementwise
-operations as in a one-interval build, so the results are bitwise those of
-`step`, and a chunk holds CHUNK n values whatever the number of steps.  The
-gradient's backward sweep assembles its node partials one chunk at a time
-as well, each entry summed in step order.  The chunk rows are built in
-place in one array reused by every chunk.
+- elsewhere a time-varying deviation's steps are each taken once per
+  sweep, and its intervals are factored CHUNK at a time, for sweeps in
+  either direction, in two buffers that every chunk reuses: a chunk holds
+  CHUNK n values whatever the number of steps.  A chunk's diagonals are
+  built in whole-array operations and the off-diagonal once per sweep, so
+  the step loop runs one `dpttrs`, the subtraction and the checks.
+The warm-up sub-steps and the kernel series factor one row per step
+(`_Stepper.solve`).  Each diagonal entry goes through the same elementwise
+operations on every path, so all of them give the same bits.  A W M that
+is not positive definite raises when its chunk or span is factored, up to
+CHUNK - 1 steps before a sweep reaches it.  The gradient's backward sweep
+assembles its node partials one chunk at a time as well, each entry summed
+in step order.  The march stores only the time nodes its caller keeps.
 
 A deviation on a HalfLine (the nodes x >= 0, standing for an even
 function) is marched with a reflecting centre row: node 1 couples to the
@@ -107,8 +105,8 @@ medians of three pairs):
   gradient step by 33% at n = 401; factored spans cut a power-iteration
   step by 31%; one factorization per time-constant march cut a step at
   n = 5761 by 37% and a limit-shape run's peak memory from 644 MB to
-  83 MB.  `log_terminal_and_gradient` keeps no factored span: its
-  deviations vary in time and it takes each step once forward and once
+  83 MB.  `log_terminal_and_gradient` factors its backward sweep again:
+  its deviations vary in time and it takes each step once forward and once
   backward, and at n = 801 a cache of the forward factors for the
   backward sweep held about 23 MB per call and raised the peak memory of
   the benchmark's `probes` workload by 18% to save one factorization per
@@ -121,7 +119,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grids import (
     Field,
@@ -168,15 +166,11 @@ def _indefinite(h: float) -> np.linalg.LinAlgError:
         "top mode by a negative factor of size above 1; lower dt")
 
 
-def _solve_m(d: np.ndarray, e: np.ndarray, rhs: np.ndarray, reflect: bool,
-             h: float) -> np.ndarray:
-    """M^{-1} rhs, solved as (W M) x = W rhs for W M with diagonal d and
-    off-diagonal e (see `_Stepper`), in the storage of rhs (which is
-    overwritten); dptsv works on copies of d and e."""
-    _, _, x, info = dptsv(d, e, _weigh(rhs, reflect), 0, 0, 1)
-    if info > 0:
+def _factor(d: np.ndarray, e: np.ndarray, h: float) -> None:
+    """dpttrf of W M with diagonal d and off-diagonal e, in their storage: d
+    becomes the diagonal of D and e the off-diagonal of L in W M = L D L^T."""
+    if dpttrf(d, e, 1, 1)[2] > 0:
         raise _indefinite(h)
-    return x
 
 
 class _Stepper:
@@ -220,7 +214,7 @@ class _Stepper:
         """Diagonals of W M for steps of length h over the time intervals
         lo, ..., hi - 1 of the rows `vals`, one row per interval, built in
         `out`: kin_diag + 0.5 (rho_k + rho_k+1), then `_m_diagonal` in place.
-        Each entry takes the operations of `step`'s one-row build."""
+        Each entry takes the operations of `solve`'s one-row build."""
         diag = np.add(vals[lo:hi], vals[lo + 1:hi + 1], out=out)
         diag *= 0.5
         diag += self.kin_diag
@@ -230,34 +224,17 @@ class _Stepper:
         """Off-diagonal of W M for steps of length h."""
         return self._e_unit * (-0.5 * h * self.kin_off)
 
+    def solve(self, v: np.ndarray, h: float, rho_mid: np.ndarray) -> np.ndarray:
+        """M^{-1}(2v) for a step of length h with midpoint potential rho_mid,
+        W M factored for this one call."""
+        d, e = self._m_diagonal(h, self.kin_diag + rho_mid), self._m_offdiag(h)
+        _factor(d, e, h)
+        return dpttrs(d, e, _weigh(2.0 * v, self.reflect), overwrite_b=1)[0]
+
     def step(self, v: np.ndarray, h: float, rho_mid: np.ndarray) -> np.ndarray:
-        y = _solve_m(self._m_diagonal(h, self.kin_diag + rho_mid), self._m_offdiag(h),
-                     2.0 * v, self.reflect, h)
+        y = self.solve(v, h, rho_mid)
         y -= v
         return y
-
-    def interval_steps(self, rho: SpaceTimeDeviation, h: float, descending: bool = False):
-        """Callable (v, k) -> one step of length h over time interval k of rho,
-        for a sweep over the intervals in ascending or `descending` order.
-
-        A time-varying rho has its W M diagonals built CHUNK intervals at a
-        time (`_IntervalBands`) and the off-diagonal once; each call runs one
-        dptsv and one subtraction.  A time-constant rho (stride-0 rows) is a
-        `_FactoredSpan` with one factorization for every interval.  Either
-        way the results are bitwise those of `step`.
-        """
-        if rho.values.strides[0] == 0:
-            return _FactoredSpan(self, rho, h, 0, rho.tgrid.n_steps).step
-        r = self.reflect
-        e = self._m_offdiag(h)
-        bands = _IntervalBands(self, rho, h, descending)
-
-        def step(v: np.ndarray, k: int) -> np.ndarray:
-            y = _solve_m(bands(k), e, 2.0 * v, r, h)
-            y -= v
-            return y
-
-        return step
 
     def sweep_transpose(self, v: np.ndarray, rho: SpaceTimeDeviation, ks: int, kt: int,
                         out: np.ndarray | None = None) -> np.ndarray:
@@ -266,84 +243,76 @@ class _Stepper:
         in ascending order, since each step 2 M^{-1} - I is symmetric on the
         wall-pinned subspace.  Row k of `out` (if given) receives the value at
         time node k."""
-        step = self.interval_steps(rho, rho.tgrid.dt, descending=True)
+        factors = _Factors(self, rho, rho.tgrid.dt)
         for k in range(kt - 1, ks - 1, -1):
-            v = step(v, k)
+            v = factors.step(v, k)
             if out is not None:
                 out[k] = v
         return v
 
 
-class _FactoredSpan:
-    """The steps of length h over time intervals ks, ..., kt - 1 of rho, each
-    interval's W M factored once (see the module docstring).
+class _Factors:
+    """The dpttrf factors of W M for steps of length h over the time
+    intervals of rho (see the module docstring).
 
-    Every interval keeps its dpttrf factors (the diagonal of D and the
-    off-diagonal of L in W M = L D L^T), built for the whole span in array
-    operations (`_Stepper._interval_diagonals`).
-    A step is then one dpttrs and one subtraction, bitwise equal to `step`.
-    A time-constant rho (stride-0 rows) has one factorization shared by
-    every interval.  A W M that is not positive definite raises LinAlgError
-    when the span is built.
+    A time-constant rho (stride-0 rows) has one factorization for every
+    interval, and a `span` (ks, kt) has the intervals ks, ..., kt - 1
+    factored at once.  Otherwise the intervals are factored CHUNK at a time
+    in two buffers that every chunk reuses: a read outside the current
+    chunk factors the chunk that continues from k in the sweep's direction,
+    upward from k after reads below it (the first read counts as one) and
+    downward to k after reads above it.  A downward chunk stops at interval
+    1 unless k is 0: the delta marches step interval 0 in warm-up
+    sub-steps, and its W M at step h need not be positive definite.  A W M
+    that is not positive definite raises LinAlgError when its chunk or span
+    is factored.  `solve` and `step` are bitwise `_Stepper.solve` and
+    `_Stepper.step` with the interval's midpoint potential.
     """
 
-    def __init__(self, stepper: _Stepper, rho: SpaceTimeDeviation, h: float, ks: int, kt: int):
+    def __init__(self, stepper: _Stepper, rho: SpaceTimeDeviation, h: float,
+                 span: tuple[int, int] | None = None):
+        self._stepper, self._vals, self._h = stepper, rho.values, h
         self._reflect = stepper.reflect
-        self._ks = ks
-        vals = rho.values
-        shared = vals.strides[0] == 0
-        lo, hi = (0, 1) if shared else (ks, kt)
-        rows, n = hi - lo, vals.shape[1]
-        # both bands are C-ordered, so dpttrf factors each row in place
-        d = stepper._interval_diagonals(vals, h, lo, hi, np.empty((rows, n)))
-        e = np.tile(stepper._m_offdiag(h), (rows, 1))
-        for j in range(rows):
-            if dpttrf(d[j], e[j], 1, 1)[2] > 0:
-                raise _indefinite(h)
-        self._factors = list(zip(d, e))
+        self._nt = nt = rho.tgrid.n_steps
+        self._off = stepper._m_offdiag(h)
+        shared = self._vals.strides[0] == 0
+        lo, hi = (0, 1) if shared else span or (0, min(CHUNK, nt))
+        n = self._vals.shape[1]
+        # C-ordered, so dpttrf factors each row in place
+        self._d, self._e = np.empty((hi - lo, n)), np.empty((hi - lo, n - 1))
+        self._lo = self._hi = 0
+        if shared or span:
+            self._build(lo, hi)
         if shared:
-            self._factors *= kt - ks
+            self._rows *= nt
+            self._hi = nt
 
-    def step(self, v: np.ndarray, k: int) -> np.ndarray:
-        d, e = self._factors[k - self._ks]
-        y = dpttrs(d, e, _weigh(2.0 * v, self._reflect), overwrite_b=1)[0]
-        y -= v
-        return y
+    def _build(self, lo: int, hi: int) -> None:
+        """Factor the intervals lo, ..., hi - 1 into the buffers."""
+        rows = hi - lo
+        d = self._stepper._interval_diagonals(self._vals, self._h, lo, hi, self._d[:rows])
+        e = self._e[:rows]
+        e[...] = self._off
+        for dj, ej in zip(d, e):
+            _factor(dj, ej, self._h)
+        self._rows = list(zip(d, e))
+        self._lo, self._hi = lo, hi
 
-
-class _IntervalBands:
-    """W M's diagonal of time interval k of rho for steps of length h.
-
-    The diagonals are built for CHUNK intervals at a time in whole-array
-    operations (`_Stepper._interval_diagonals`), bitwise those of `step`.  A
-    read outside the current chunk replaces it by the CHUNK intervals that
-    continue from k in the sweep's direction: upward from k after reads
-    below it, downward to k after reads above it.  An empty chunk sits at
-    the first interval for an ascending sweep and past the last one for a
-    descending sweep.  Every chunk is built in the same array, allocated at
-    the first read; a returned row is valid until the next read outside its
-    chunk.
-    """
-
-    def __init__(self, stepper: _Stepper, rho: SpaceTimeDeviation, h: float, descending: bool):
-        self._stepper = stepper
-        self._vals = rho.values
-        self._h = h
-        self._nt = rho.tgrid.n_steps
-        self._lo = self._hi = self._nt if descending else 0
-        self._buf = None
-
-    def __call__(self, k: int) -> np.ndarray:
+    def solve(self, v: np.ndarray, k: int) -> np.ndarray:
+        """M_k^{-1}(2v) for time interval k."""
         if not self._lo <= k < self._hi:
             if k >= self._hi:
-                lo, hi = k, min(k + CHUNK, self._nt)
+                self._build(k, min(k + CHUNK, self._nt))
             else:
-                lo, hi = max(k + 1 - CHUNK, 0), k + 1
-            if self._buf is None:
-                self._buf = np.empty((min(CHUNK, self._nt), self._vals.shape[1]))
-            self._stepper._interval_diagonals(self._vals, self._h, lo, hi, self._buf[:hi - lo])
-            self._lo, self._hi = lo, hi
-        return self._buf[k - self._lo]
+                self._build(max(k + 1 - CHUNK, min(k, 1)), k + 1)
+        d, e = self._rows[k - self._lo]
+        return dpttrs(d, e, _weigh(2.0 * v, self._reflect), overwrite_b=1)[0]
+
+    def step(self, v: np.ndarray, k: int) -> np.ndarray:
+        """One step M_k^{-1} N_k v over time interval k."""
+        y = self.solve(v, k)
+        y -= v
+        return y
 
 
 def _warmup_substeps(t0: float, t1: float):
@@ -479,7 +448,7 @@ def _march_delta(rho: SpaceTimeDeviation, keep=None, keep_warmup: bool = False):
         warm_vals.append(v)
     v = settle(1, v, m)
 
-    step = stepper.interval_steps(rho, dt)
+    step = _Factors(stepper, rho, dt).step
     for k in range(1, nt):
         v, m = _check_slice(step(v, k), str(k + 1))
         v = settle(k + 1, v, m)
@@ -525,7 +494,7 @@ def operator_norm(rho: SpaceTimeDeviation, s: float, t: float,
     relative.  Where the top of the singular spectrum is nearly flat
     (notably the plain heat semigroup on a wide box) that stop can come
     before the estimate has settled.  Every interval's M is factored once
-    per call (`_FactoredSpan`).
+    per call (`_Factors` with a span).
     """
     require_full_line(rho.sgrid, "operator_norm")
     if iters < 10:
@@ -538,7 +507,7 @@ def operator_norm(rho: SpaceTimeDeviation, s: float, t: float,
     v = 1.0 + np.random.Generator(np.random.Philox(7)).random(sg.n_points)
     v[0] = 0.0
     v[-1] = 0.0
-    span = _FactoredSpan(_Stepper(sg), rho, tg.dt, ks, kt)
+    span = _Factors(_Stepper(sg), rho, tg.dt, (ks, kt))
 
     est = 0.0
     converged = False
@@ -627,8 +596,7 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
     u[i0] = 1.0 / rows[nt, i0]
     partials = np.zeros((nt + 1, sg.n_points))
     rel_scale = np.exp(ls - ls[nt])
-    bands = _IntervalBands(stepper, rho, dt, descending=True)
-    e = stepper._m_offdiag(dt)
+    factors = _Factors(stepper, rho, dt)
     chunk = min(CHUNK, nt - 1)
     halves = np.empty((chunk, sg.n_points))
     z_buf = np.empty((chunk + 1, sg.n_points))
@@ -637,7 +605,7 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
         lo = max(hi - CHUNK, 1)
         for k in range(hi - 1, lo - 1, -1):
             # u <- N_k M_k^{-1} u = 2 M_k^{-1} u - u; x = M_k^{-1}(2u) = 2 M_k^{-1} u exactly
-            x = _solve_m(bands(k), e, 2.0 * u, r, dt)
+            x = factors.solve(u, k)
             np.multiply(x, 0.5, out=halves[k - lo])
             x -= u
             u = x
@@ -655,8 +623,7 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
     g0 = np.zeros(sg.n_points)
     for q in range(len(warm_steps) - 1, -1, -1):
         h = warm_steps[q]
-        x = _solve_m(stepper._m_diagonal(h, stepper.kin_diag + rho_mid), stepper._m_offdiag(h),
-                     2.0 * u, r, h)
+        x = stepper.solve(u, h, rho_mid)
         g0 += 0.5 * h * (warm_vals[q] + warm_vals[q + 1]) * scale0 * (0.5 * x)
         x -= u
         u = x

@@ -34,7 +34,6 @@ from .grids import (
 )
 
 SHARP_BOUND_PREFACTOR = 0.5 * (3.0 / 4.0) ** (2.0 / 3.0)
-GNS_CONSTANT = 3.0 ** (-1.0 / 8.0)
 
 
 @dataclass(frozen=True)

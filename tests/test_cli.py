@@ -338,6 +338,8 @@ def test_cli_import_leaves_out_scipy_integrate():
      "--lambda 1e+300: the hitting density leaves the float range"),
     (["hitting-time", "--t", "1e-300", "--x", "1", "--lambda", "4", "--paths", "100"],
      "--t 1e-300, --x 1, --lambda 4: the hitting density leaves the float range"),
+    (["hitting-time", "--t", "1", "--x", "1e100", "--lambda", "4", "--paths", "2000"],
+     "--t 1, --x 1e+100, --lambda 4: the hitting density underflows to 0 at every tabulated s"),
 ])
 def test_bad_values_of_other_subcommands_are_errors(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2

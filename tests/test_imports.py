@@ -4,12 +4,12 @@ No linter ships with the project, so this walks the syntax tree.
 - A name that a top-level `import` of the package or of its tests binds
   must occur as a name somewhere else in the module (an annotation written
   as a string counts).  `from __future__` imports are exempt.
-- Every module-level function and class of the package, and every method
-  of such a class, must be referenced by name in the package or in the
-  benchmark (`perfbench/`, its own tests excluded) outside its own
-  definition.  A reference is a name, an attribute or an imported name; in
-  the benchmark a string constant counts too, since its span targets are
-  looked up by string.  Dunder methods are exempt.
+- Every module-level function, class and assigned name of the package,
+  and every method of such a class, must be referenced by name in the
+  package or in the benchmark (`perfbench/`, its own tests excluded)
+  outside its own definition.  A reference is a name, an attribute or an
+  imported name; in the benchmark a string constant counts too, since its
+  span targets are looked up by string.  Dunder names are exempt.
 """
 
 import ast
@@ -69,15 +69,23 @@ def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree):
-    """Module-level functions and classes, and the methods of those classes
-    (dunder methods excluded)."""
+    """(name, node) of the module-level functions, classes and assigned
+    names, and of the methods of those classes (dunders excluded)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
-            yield from (m for m in node.body if isinstance(m, ast.FunctionDef)
-                        and not (m.name.startswith("__") and m.name.endswith("__")))
+            yield from ((m.name, m) for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not _dunder(m.name))
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        yield from ((t.id, node) for t in targets
+                    if isinstance(t, ast.Name) and not _dunder(t.id))
 
 
 def _references(tree, strings: bool):
@@ -106,10 +114,10 @@ def unreferenced(package: dict[str, str], bench: dict[str, str]) -> list[str]:
             refs.setdefault(name, []).append(node)
     missing = []
     for module, tree in trees.items():
-        for d in _definitions(tree):
+        for name, d in _definitions(tree):
             inside = {id(node) for node in ast.walk(d)}
-            if all(id(node) in inside for node in refs.get(d.name, [])):
-                missing.append(f"{module}.{d.name}")
+            if all(id(node) in inside for node in refs.get(name, [])):
+                missing.append(f"{module}.{name}")
     return missing
 
 
@@ -118,11 +126,13 @@ def test_the_checker_finds_test_only_code():
         "a": ("import b\nclass C:\n    def __init__(self): self.used()\n"
               "    def used(self): return helper()\n    def unused(self): return self.unused()\n"
               "def helper(): return C\ndef recursive(n): return recursive(n - 1)\n"
-              "def by_string(): pass\ndef imported(): pass\ndef named_in_a_string(): pass\n"),
-        "b": "from a import imported\nprint('named_in_a_string')\n",
+              "def by_string(): pass\ndef imported(): pass\ndef named_in_a_string(): pass\n"
+              "USED = 1\nUNUSED = USED\nTYPED: int = USED\n__all__ = []\n"),
+        "b": "from a import imported\nprint('named_in_a_string', TYPED)\n",
     }
     bench = {"spans": "TARGETS = (('a', 'by_string'),)\n"}
-    assert unreferenced(package, bench) == ["a.unused", "a.recursive", "a.named_in_a_string"]
+    assert unreferenced(package, bench) == [
+        "a.unused", "a.recursive", "a.named_in_a_string", "a.UNUSED"]
 
 
 def test_no_test_only_code_in_the_package():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg.lapack import dptsv, dpttrf
 
 from kpztail.grids import (
     HalfLine,
@@ -16,7 +16,7 @@ from kpztail.grids import (
 from kpztail.solver import (
     CHUNK,
     SolverInstabilityError,
-    _FactoredSpan,
+    _Factors,
     _Stepper,
     adjoint_solve,
     chaos_series_point,
@@ -77,10 +77,10 @@ def test_grid_convergence_second_order():
 
 def _sweep(rho, v, ks, kt):
     """The steps over the time intervals ks, ..., kt - 1 of rho, in order,
-    through `_Stepper.interval_steps`."""
-    step = _Stepper(rho.sgrid).interval_steps(rho, rho.tgrid.dt)
+    through `_Factors`."""
+    factors = _Factors(_Stepper(rho.sgrid), rho, rho.tgrid.dt)
     for k in range(ks, kt):
-        v = step(v, k)
+        v = factors.step(v, k)
     return v
 
 
@@ -482,6 +482,24 @@ def test_time_varying_singular_step_raises():
         _sweep(rho, v, 30, 40)
 
 
+def test_first_interval_is_factored_only_where_a_sweep_reads_it():
+    # W M of interval 0 is singular at the full step h = 1, M[1, 1] =
+    # 1 - (1/2)(-1/dx^2 + 3) = 0, but not at the warm-up sub-steps (h <= 1/2)
+    # that the delta march, its gradient and the adjoint take there; the
+    # backward sweeps' chunks stop at interval 1
+    sg = SpaceGrid(1.0, 3)
+    tg = TimeGrid(0.0, 40.0, 40)
+    vals = np.zeros((41, 3))
+    vals[:2] = 3.0
+    rho = SpaceTimeDeviation(tg, sg, vals)
+    with pytest.raises(np.linalg.LinAlgError, match="lower dt"):
+        _sweep(rho, np.array([0.0, 1.0, 0.0]), 0, 40)
+    log_zt, partials = log_terminal_and_gradient(rho)
+    assert log_zt == solve_delta_scaled(rho).log_at(40.0, 0.0)
+    assert np.all(np.isfinite(partials))
+    assert np.all(np.isfinite(adjoint_solve(rho, Potential(sg, np.ones(3))).values))
+
+
 def test_full_line_sweep_transpose_is_the_transpose():
     # 2 M^-1 - I is symmetric on the pinned subspace, so the transposed
     # sweeps take the same steps in descending order; the step count crosses
@@ -499,7 +517,7 @@ def test_full_line_sweep_transpose_is_the_transpose():
     assert lhs == pytest.approx(np.dot(stepper.sweep_transpose(u, rho, 0, nt), v), rel=1e-12)
     # the factored span of operator_norm, on an inner sub-span
     ks, kt = 7, nt - 3
-    span = _FactoredSpan(stepper, rho, tg.dt, ks, kt)
+    span = _Factors(stepper, rho, tg.dt, (ks, kt))
     fwd, back = v, u
     for k in range(ks, kt):
         fwd = span.step(fwd, k)
@@ -507,6 +525,63 @@ def test_full_line_sweep_transpose_is_the_transpose():
         back = span.step(back, k)
     assert np.dot(u, fwd) == pytest.approx(np.dot(back, v), rel=1e-12)
     assert np.array_equal(fwd, _sweep(rho, v, ks, kt))
+
+
+def _dptsv_step(grid, h, rho_lo, rho_hi, v):
+    """One CN step M^-1(2v) - v with midpoint potential (rho_lo + rho_hi)/2,
+    solved by one LAPACK dptsv call on W M built from its definition."""
+    d = 1.0 - 0.5 * h * (-1.0 / grid.dx**2 + 0.5 * (rho_lo + rho_hi))
+    e = np.full(grid.n_points - 1, -0.5 * h * (0.5 / grid.dx**2))
+    b = 2.0 * v
+    d[-1], e[-1], b[-1] = 1.0, 0.0, 0.0
+    if isinstance(grid, HalfLine):
+        d[0] *= 0.5
+        b[0] *= 0.5
+    else:
+        d[0], e[0], b[0] = 1.0, 0.0, 0.0
+    _, _, x, info = dptsv(d, e, b)
+    assert info == 0
+    return x - v
+
+
+# 70 = 2 CHUNK + 6 intervals, so that neither sweep direction lines up with
+# the chunk edges; the last order reads behind its current chunk twice
+FACTOR_SWEEPS = {
+    "upward": list(range(70)),
+    "downward": list(range(69, -1, -1)),
+    "re-read": [*range(0, 45), 20, 21, 50, 3, 69, 0, 68],
+}
+
+
+@pytest.mark.parametrize("half_line", [False, True], ids=["full", "half"])
+def test_factored_steps_match_one_call_dptsv(half_line):
+    sg = SpaceGrid(10.0, 201)
+    grid = HalfLine(sg) if half_line else sg
+    tg = TimeGrid(0.0, 1.4, 70)
+    vals = random_smooth_deviation(rng_from_seed(800), tg, sg).values
+    varying = SpaceTimeDeviation(tg, grid, np.ascontiguousarray(vals[:, -grid.n_points:]))
+    constant = SpaceTimeDeviation.time_constant(tg, Potential(grid, varying.values[7]))
+    v0 = np.exp(-grid.x**2)
+    v0[-1] = 0.0
+    if not half_line:
+        v0[0] = 0.0
+    stepper, h = _Stepper(grid), tg.dt
+
+    def check(factors, rho, order):
+        got = want = v0
+        for k in order:
+            got = factors.step(got, k)
+            want = _dptsv_step(grid, h, rho.values[k], rho.values[k + 1], want)
+            assert np.array_equal(got, want), k
+
+    for order in FACTOR_SWEEPS.values():
+        check(_Factors(stepper, varying, h), varying, order)
+        check(_Factors(stepper, constant, h), constant, order)
+    ks, kt = 9, 61
+    check(_Factors(stepper, varying, h, (ks, kt)), varying, [*range(ks, kt), *range(kt - 1, ks - 1, -1)])
+    rho_mid = 0.5 * (varying.values[5] + varying.values[6])
+    assert np.array_equal(stepper.step(v0, 0.25 * h, rho_mid),
+                          _dptsv_step(grid, 0.25 * h, varying.values[5], varying.values[6], v0))
 
 
 def _long_double_march(sg, rho_mid, h, v, steps):

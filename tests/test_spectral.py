@@ -13,7 +13,6 @@ from kpztail.grids import (
     l2_norm_space,
 )
 from kpztail.spectral import (
-    GNS_CONSTANT,
     f_time_integral,
     gns_ratio,
     ground_state,
@@ -22,6 +21,8 @@ from kpztail.spectral import (
     rho_star,
 )
 from kpztail.testing import random_smooth_deviation, random_smooth_potential, rng_from_seed
+
+GNS_CONSTANT = 3.0 ** (-1.0 / 8.0)  # sharp constant of the bound on `gns_ratio`
 
 
 def sech_state(grid):
