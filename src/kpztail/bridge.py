@@ -17,10 +17,13 @@ the floor of the cost: for 100k paths x 640 steps they take about 1.35 s of
 the 2.0-2.2 s of CPU time the path integrals cost on a 2-vCPU x86-64 VM.
 The rest is whole-block array operations on buffers that are reused from
 step to step.  Measured and rejected: splitting a block's arithmetic into
-chunks of 16k, 8k, 4k or 2k paths (2.3, 2.3, 2.5 and 2.9 s), and threads,
-which can only add to the process CPU time.  Each step draws one full block,
-so the draws, and with them every output, do not depend on how the
-arithmetic is organised.
+chunks of 16k, 8k, 4k or 2k paths (2.3, 2.3, 2.5 and 2.9 s).  Threads were
+not adopted because perfbench gates the process CPU time (`cpu_s`), and
+they trade CPU time for wall time: two worker threads computing whole
+blocks cut 400k paths x 640 steps at lam = 32 from 6.4 to 4.0 s of wall
+time but added 4-6% of CPU time (ROADMAP item 8).  Each step draws one
+full block, so the draws, and with them every output, do not depend on how
+the arithmetic is organised.
 
 First hitting times of zero use the exact within-step crossing probability
 exp(-2 a b / ds) of the conditional bridge between consecutive samples,
@@ -40,10 +43,11 @@ profile is exactly even in x.
 
 A limit-shape grid coarser than MAX_SHAPE_DX in space or MAX_SHAPE_DT in
 time raises ValueError.  Work is capped before it starts: a Monte Carlo call
-of more than BRIDGE_PATH_STEP_BUDGET path-steps (`BridgeConfig.steps_for`),
-an mc-backend limit shape whose calls add up to more than that, and a
-limit-shape march of more than SHAPE_NODE_BUDGET half-line space-time nodes
-raise ValueError.
+of more than BRIDGE_PATH_STEP_BUDGET path-steps or more than MAX_BRIDGE_STEPS
+time steps (`BridgeConfig.steps_for`), a `first_hitting_times` call of more
+than MAX_HITTING_PATHS paths, an mc-backend limit shape whose calls add up
+to more than BRIDGE_PATH_STEP_BUDGET, and a limit-shape march of more than
+SHAPE_NODE_BUDGET half-line space-time nodes raise ValueError.
 """
 
 from __future__ import annotations
@@ -71,6 +75,13 @@ SHAPE_X_STEP = 0.05  # and in scaled position, likewise
 # path-steps (paths x time steps) of one Monte Carlo call; the full criterion 8
 # run has 12M x 640 = 7.7e9, about 4 minutes at 3e7 path-steps/s
 BRIDGE_PATH_STEP_BUDGET = 10**10
+# time steps of one Monte Carlo call: a path costs about 18 us per step when the
+# Python step loop dominates, so 1e5 steps take about 2 s even on one path; the
+# largest count in use is 6000 (the mc limit shape at lam = 150)
+MAX_BRIDGE_STEPS = 10**5
+# paths of one `first_hitting_times` call, whose result holds 8 bytes per path;
+# the full criterion 8 run has 1e5
+MAX_HITTING_PATHS = 10**7
 # half-line space-time nodes of one limit-shape march; lam = 32 at dx = 0.05,
 # dt = 0.01 has 2881 x 6401 = 1.8e7
 SHAPE_NODE_BUDGET = 10**8
@@ -95,7 +106,8 @@ class BridgeConfig:
 
     def steps_for(self, duration: float) -> int:
         """Time steps over `duration`; raises ValueError unless it is positive and
-        finite and n_paths x steps is at most BRIDGE_PATH_STEP_BUDGET."""
+        finite, n_paths x steps is at most BRIDGE_PATH_STEP_BUDGET and steps is
+        at most MAX_BRIDGE_STEPS."""
         if not 0 < duration < math.inf:
             raise ValueError(f"duration must be positive and finite, got {duration}")
         # capped just past the budget, so that a huge duration still converts
@@ -105,6 +117,10 @@ class BridgeConfig:
             raise ValueError(f"{self.n_paths} paths over duration {duration:g} take more than "
                              f"the bridge budget of {BRIDGE_PATH_STEP_BUDGET:.3g} path-steps; "
                              "lower the paths or the duration")
+        if steps > MAX_BRIDGE_STEPS:
+            raise ValueError(f"{steps} time steps over duration {duration:g} exceed the bridge "
+                             f"limit of {MAX_BRIDGE_STEPS:.3g} steps per path; lower the steps "
+                             "or the duration")
         return steps
 
 
@@ -341,6 +357,10 @@ def first_hitting_times(start: float, duration: float, cfg: BridgeConfig | None 
     if not 0 < start < math.inf:
         raise ValueError(f"start must be finite and away from zero, got {start}")
     n_steps = cfg.steps_for(duration)
+    if cfg.n_paths > MAX_HITTING_PATHS:
+        raise ValueError(f"{cfg.n_paths} paths exceed the first-hitting limit of "
+                         f"{MAX_HITTING_PATHS:.3g} paths, whose times are all held at once; "
+                         "lower the paths")
     ds = duration / n_steps
     out = np.empty(cfg.n_paths)
     row = 0

@@ -36,6 +36,10 @@ from .testing import random_smooth_potential, rng_from_seed
 from .variational import RateOptions, rate_phi
 
 
+# histogram bins of `hitting-time`, one CSV row each
+MAX_BINS = 10**5
+
+
 def _default_out() -> str:
     return os.environ.get("KPZTAIL_OUT", "out")
 
@@ -74,6 +78,14 @@ def _args_config(args) -> dict:
             if k != "fn" and isinstance(v, (int, float, str, bool, list, tuple, type(None)))}
 
 
+def _space_grid(args) -> SpaceGrid:
+    """`standard_grid` of --dx and --half-width; its ValueError names both flags."""
+    try:
+        return standard_grid(args.dx, args.half_width)
+    except ValueError as exc:
+        raise ValueError(f"--dx and --half-width: {exc}") from None
+
+
 def _named_potential(name: str, grid: SpaceGrid, amplitude: float, width: float,
                      center: float) -> Potential:
     if not 0 < width < math.inf:
@@ -98,7 +110,7 @@ def _named_potential(name: str, grid: SpaceGrid, amplitude: float, width: float,
 # --- subcommand handlers -------------------------------------------------------
 
 def _cmd_spectral(args) -> int:
-    grid = standard_grid(args.dx, args.half_width)
+    grid = _space_grid(args)
     phi = _named_potential(args.phi, grid, args.amplitude, args.width, args.center)
     # F, the bound and the L4 norm in gns_ratio grow like the amplitude, its
     # 4/3 power and its 4th power
@@ -134,7 +146,7 @@ def _cmd_rearrange_check(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng = rng_from_seed(args.seed)
-    grid = standard_grid(args.dx, args.half_width)
+    grid = _space_grid(args)
     worst_norm = 0.0
     worst_hl = -np.inf
     for _ in range(args.trials):
@@ -210,8 +222,7 @@ def _cmd_rate(args) -> int:
 def _cmd_tail_law(args) -> int:
     lams = sorted(args.lambdas)
     if any(not 0 < v <= 32 for v in lams):  # rate_phi's depths, checked before any solve
-        print("error: --lambdas entries must lie in (0, 32]", file=sys.stderr)
-        return 2
+        raise ValueError("--lambdas entries must lie in (0, 32]")
     rows = [row for row, _, _ in selftest.tail_law(lams, _rate_options(args))]
     ratios = [row.ratio for row in rows]
     all_converged = all(row.converged for row in rows)
@@ -255,6 +266,8 @@ def _cmd_limit_shape(args) -> int:
 def _cmd_hitting_time(args) -> int:
     if args.bins < 1:
         raise ValueError(f"--bins must be >= 1, got {args.bins}")
+    if args.bins > MAX_BINS:
+        raise ValueError(f"--bins must be at most {MAX_BINS}, got {args.bins}")
     if not all(map(math.isfinite, (args.t, args.x, args.lam))):
         raise ValueError("--t, --x and --lambda must be finite")
     horizon = args.lam * args.t
@@ -267,7 +280,10 @@ def _cmd_hitting_time(args) -> int:
     if not np.any(dens > 0):
         raise ValueError(f"{where}: the hitting density underflows to 0 at every tabulated s")
     cfg = bridge.BridgeConfig(n_paths=args.paths, n_time_steps=args.steps, seed=args.seed)
-    hits = bridge.first_hitting_times(args.lam * args.x, horizon, cfg)
+    try:
+        hits = bridge.first_hitting_times(args.lam * args.x, horizon, cfg)
+    except ValueError as exc:
+        raise ValueError(f"--paths and --steps: {exc}") from None
     edges = np.linspace(0.0, horizon, args.bins + 1)
     counts, _ = np.histogram(hits, bins=edges)
     _write_artifacts(Path(args.out), "hitting-time", _args_config(args), {
@@ -280,7 +296,7 @@ def _cmd_hitting_time(args) -> int:
 
 
 def _cmd_fk(args) -> int:
-    grid = standard_grid(args.dx, args.half_width)
+    grid = _space_grid(args)
     phi = _named_potential(args.phi, grid, args.amplitude, args.width, args.center)
     cfg = bridge.BridgeConfig(n_paths=args.paths, seed=args.seed)
     mean, se = bridge.fk_estimate(phi, args.duration, args.start, args.end, cfg)

@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# nodes of a `standard_grid`, 8 MB per array; the largest in use has 4001
+MAX_GRID_NODES = 10**6
+
 
 @dataclass(frozen=True)
 class SpaceGrid:
@@ -129,8 +132,13 @@ def _step_count(span: float, step: float) -> int:
 
 
 def standard_grid(dx: float, half_width: float) -> SpaceGrid:
-    """Space grid on [-half_width, half_width] with spacing dx; dx must divide half_width."""
-    return SpaceGrid(half_width, 2 * _step_count(half_width, dx) + 1)
+    """Space grid on [-half_width, half_width] with spacing dx; dx must divide
+    half_width, and the grid may have at most MAX_GRID_NODES nodes."""
+    n = 2 * _step_count(half_width, dx) + 1
+    if n > MAX_GRID_NODES:
+        raise ValueError(f"step {dx:g} on [-{half_width:g}, {half_width:g}] gives {n:.3g} "
+                         f"nodes, more than the limit of {MAX_GRID_NODES:.3g}")
+    return SpaceGrid(half_width, n)
 
 
 def standard_time_grid(dt: float, t_end: float) -> TimeGrid:

@@ -43,30 +43,34 @@ pivots, called directly because `solve_banded`'s argument validation costs
 several times the solve itself at n = 401.  Every step takes one path:
 `dpttrf` factors W M = L D L^T, and the step is one `dpttrs` with those
 factors and the subtraction.  Neither call checks its input for non-finite
-values, so every sweep checks its result.  `_Factors` holds the factors of
-a sweep's intervals in one of three ways:
+values, so every sweep checks its result.  One class, `_Factors`, takes
+every step: it holds the factors of W M for one step length over a
+deviation's intervals, in one of four ways:
 - a time-constant deviation (`SpaceTimeDeviation.time_constant`, rows held
   as one stride-0 view) has the same M on every interval, so its delta
-  march and the sweep of `adjoint_solve` share one factorization;
+  march and the sweep of `adjoint_solve` share one factorization, and so
+  does the kernel series, whose heat step is that of a zero deviation;
 - `operator_norm` factors every interval of its span once per call and
   reuses the factors in all 2 iters sweeps of its power iteration, which
   always starts from one fixed positive random vector (Philox key 7;
   there is no start argument).  The span holds about
   (kt - ks) n 16 bytes: 0.3 MB for 100 steps at n = 201, 10 MB for 800
   steps at n = 801;
+- a warm-up sub-step of length h is the span (0, 1) at that h, factored
+  for the one sub-step (forward, adjoint or in the gradient's replay);
 - elsewhere a time-varying deviation's steps are each taken once per
   sweep, and its intervals are factored CHUNK at a time, for sweeps in
   either direction, in two buffers that every chunk reuses: a chunk holds
   CHUNK n values whatever the number of steps.  A chunk's diagonals are
   built in whole-array operations and the off-diagonal once per sweep, so
   the step loop runs one `dpttrs`, the subtraction and the checks.
-The warm-up sub-steps and the kernel series factor one row per step
-(`_Stepper.solve`).  Each diagonal entry goes through the same elementwise
-operations on every path, so all of them give the same bits.  A W M that
-is not positive definite raises when its chunk or span is factored, up to
-CHUNK - 1 steps before a sweep reaches it.  The gradient's backward sweep
-assembles its node partials one chunk at a time as well, each entry summed
-in step order.  The march stores only the time nodes its caller keeps.
+Each diagonal entry goes through the same elementwise operations on every
+path, so a step gives the same bits however its interval was factored.  A
+W M that is not positive definite raises when its chunk or span is
+factored, up to CHUNK - 1 steps before a sweep reaches it.  The gradient's
+backward sweep assembles its node partials one chunk at a time as well,
+each entry summed in step order.  The march stores only the time nodes its
+caller keeps.
 
 A deviation on a HalfLine (the nodes x >= 0, standing for an even
 function) is marched with a reflecting centre row: node 1 couples to the
@@ -143,141 +147,44 @@ class SolverInstabilityError(RuntimeError):
     pass
 
 
-def _rho_mid(rho: SpaceTimeDeviation, k: int) -> np.ndarray:
-    """Midpoint potential of the time interval [t_k, t_k+1]."""
-    return 0.5 * (rho.values[k] + rho.values[k + 1])
-
-
-def _weigh(rhs: np.ndarray, reflect: bool) -> np.ndarray:
-    """W rhs in place, W = diag(1/2, 1, ..., 1) with `reflect` and I without,
-    and the wall entries pinned to 0 (entry 0 only without `reflect`)."""
-    if reflect:
-        rhs[0] *= 0.5
-    else:
-        rhs[0] = 0.0
-    rhs[-1] = 0.0
-    return rhs
-
-
-def _indefinite(h: float) -> np.linalg.LinAlgError:
-    return np.linalg.LinAlgError(
-        f"the CN step matrix M = I - (h/2)(D/2 + rho) is not positive definite at step "
-        f"length h = {h:g}: h * lambda_max(D/2 + rho) >= 2, where a step would multiply the "
-        "top mode by a negative factor of size above 1; lower dt")
-
-
-def _factor(d: np.ndarray, e: np.ndarray, h: float) -> None:
-    """dpttrf of W M with diagonal d and off-diagonal e, in their storage: d
-    becomes the diagonal of D and e the off-diagonal of L in W M = L D L^T."""
-    if dpttrf(d, e, 1, 1)[2] > 0:
-        raise _indefinite(h)
-
-
-class _Stepper:
-    """CN steps on a fixed SpaceGrid, or on a HalfLine with a reflecting centre row.
-
-    A step is M^{-1} N v = M^{-1}(2v) - v, since N = 2I - M: one solve with
-    W M and one subtraction.  W M's diagonal comes from kin_diag + rho_mid
-    (`_m_diagonal`), for one interval or for a span of intervals at once
-    (`_interval_diagonals`).  W M is symmetric, and its off-diagonal
-    (`_m_offdiag`) depends on h alone: the Dirichlet wall rows are identity
-    rows, decoupled from their neighbours, and on a half line the centre
-    row, which couples to node 1 with weight 2, is halved by W.
-    """
-
-    def __init__(self, sgrid: SpaceGrid | HalfLine):
-        n = sgrid.n_points
-        self.reflect = isinstance(sgrid, HalfLine)
-        self.kin_off = 0.5 / sgrid.dx**2          # off-diagonal of D/2
-        self.kin_diag = -1.0 / sgrid.dx**2        # diagonal of D/2
-        # off-diagonal of W M per unit of -(h/2) kin_off
-        self._e_unit = np.ones(n - 1)
-        self._e_unit[-1] = 0.0
-        if not self.reflect:
-            self._e_unit[0] = 0.0
-
-    def _m_diagonal(self, h: float, diag: np.ndarray) -> np.ndarray:
-        """Diagonal of W M for steps of length h from `diag` (kin_diag +
-        rho_mid), one interval's row or one row per interval, built in the
-        storage of `diag`, which is overwritten."""
-        diag *= 0.5 * h
-        m_diag = np.subtract(1.0, diag, out=diag)
-        if self.reflect:
-            m_diag[..., 0] *= 0.5
-        else:
-            m_diag[..., 0] = 1.0
-        m_diag[..., -1] = 1.0
-        return m_diag
-
-    def _interval_diagonals(self, vals: np.ndarray, h: float, lo: int, hi: int,
-                            out: np.ndarray) -> np.ndarray:
-        """Diagonals of W M for steps of length h over the time intervals
-        lo, ..., hi - 1 of the rows `vals`, one row per interval, built in
-        `out`: kin_diag + 0.5 (rho_k + rho_k+1), then `_m_diagonal` in place.
-        Each entry takes the operations of `solve`'s one-row build."""
-        diag = np.add(vals[lo:hi], vals[lo + 1:hi + 1], out=out)
-        diag *= 0.5
-        diag += self.kin_diag
-        return self._m_diagonal(h, diag)
-
-    def _m_offdiag(self, h: float) -> np.ndarray:
-        """Off-diagonal of W M for steps of length h."""
-        return self._e_unit * (-0.5 * h * self.kin_off)
-
-    def solve(self, v: np.ndarray, h: float, rho_mid: np.ndarray) -> np.ndarray:
-        """M^{-1}(2v) for a step of length h with midpoint potential rho_mid,
-        W M factored for this one call."""
-        d, e = self._m_diagonal(h, self.kin_diag + rho_mid), self._m_offdiag(h)
-        _factor(d, e, h)
-        return dpttrs(d, e, _weigh(2.0 * v, self.reflect), overwrite_b=1)[0]
-
-    def step(self, v: np.ndarray, h: float, rho_mid: np.ndarray) -> np.ndarray:
-        y = self.solve(v, h, rho_mid)
-        y -= v
-        return y
-
-    def sweep_transpose(self, v: np.ndarray, rho: SpaceTimeDeviation, ks: int, kt: int,
-                        out: np.ndarray | None = None) -> np.ndarray:
-        """Steps over the time intervals kt - 1, ..., ks of rho's grid, in that
-        order.  On a full line this is the transpose of the same steps taken
-        in ascending order, since each step 2 M^{-1} - I is symmetric on the
-        wall-pinned subspace.  Row k of `out` (if given) receives the value at
-        time node k."""
-        factors = _Factors(self, rho, rho.tgrid.dt)
-        for k in range(kt - 1, ks - 1, -1):
-            v = factors.step(v, k)
-            if out is not None:
-                out[k] = v
-        return v
-
-
 class _Factors:
-    """The dpttrf factors of W M for steps of length h over the time
-    intervals of rho (see the module docstring).
+    """The dpttrf factors of W M for CN steps of length h over the time
+    intervals of rho: the one object that takes a CN step (see the module
+    docstring).
+
+    W M's off-diagonal depends on h alone: the Dirichlet wall rows are
+    identity rows, decoupled from their neighbours, and on a HalfLine the
+    centre row, which couples to node 1 with weight 2, is halved by W.  Its
+    diagonal is 1 - (h/2)(kin_diag + 0.5 (rho_k + rho_k+1)) with the same
+    wall rows, built for a run of intervals in whole-array operations.
 
     A time-constant rho (stride-0 rows) has one factorization for every
     interval, and a `span` (ks, kt) has the intervals ks, ..., kt - 1
-    factored at once.  Otherwise the intervals are factored CHUNK at a time
-    in two buffers that every chunk reuses: a read outside the current
-    chunk factors the chunk that continues from k in the sweep's direction,
-    upward from k after reads below it (the first read counts as one) and
-    downward to k after reads above it.  A downward chunk stops at interval
-    1 unless k is 0: the delta marches step interval 0 in warm-up
-    sub-steps, and its W M at step h need not be positive definite.  A W M
-    that is not positive definite raises LinAlgError when its chunk or span
-    is factored.  `solve` and `step` are bitwise `_Stepper.solve` and
-    `_Stepper.step` with the interval's midpoint potential.
+    factored at once; a warm-up sub-step of length h is the span (0, 1).
+    Otherwise the intervals are factored CHUNK at a time in two buffers that
+    every chunk reuses: a read outside the current chunk factors the chunk
+    that continues from k in the sweep's direction, upward from k after
+    reads below it (the first read counts as one) and downward to k after
+    reads above it.  A downward chunk stops at interval 1 unless k is 0: the
+    delta marches step interval 0 in warm-up sub-steps, and its W M at step
+    h need not be positive definite.  A W M that is not positive definite
+    raises LinAlgError when its chunk or span is factored.
     """
 
-    def __init__(self, stepper: _Stepper, rho: SpaceTimeDeviation, h: float,
-                 span: tuple[int, int] | None = None):
-        self._stepper, self._vals, self._h = stepper, rho.values, h
-        self._reflect = stepper.reflect
+    def __init__(self, rho: SpaceTimeDeviation, h: float, span: tuple[int, int] | None = None):
+        sg = rho.sgrid
+        self._vals, self._h = rho.values, h
+        self._reflect = isinstance(sg, HalfLine)
+        self._kin_diag = -1.0 / sg.dx**2          # diagonal of D/2
         self._nt = nt = rho.tgrid.n_steps
-        self._off = stepper._m_offdiag(h)
+        n = sg.n_points
+        unit = np.ones(n - 1)
+        unit[-1] = 0.0
+        if not self._reflect:
+            unit[0] = 0.0
+        self._off = unit * (-0.5 * h * (0.5 / sg.dx**2))
         shared = self._vals.strides[0] == 0
         lo, hi = (0, 1) if shared else span or (0, min(CHUNK, nt))
-        n = self._vals.shape[1]
         # C-ordered, so dpttrf factors each row in place
         self._d, self._e = np.empty((hi - lo, n)), np.empty((hi - lo, n - 1))
         self._lo = self._hi = 0
@@ -289,27 +196,47 @@ class _Factors:
 
     def _build(self, lo: int, hi: int) -> None:
         """Factor the intervals lo, ..., hi - 1 into the buffers."""
-        rows = hi - lo
-        d = self._stepper._interval_diagonals(self._vals, self._h, lo, hi, self._d[:rows])
+        rows, h = hi - lo, self._h
+        d = np.add(self._vals[lo:hi], self._vals[lo + 1:hi + 1], out=self._d[:rows])
+        d *= 0.5
+        d += self._kin_diag
+        d *= 0.5 * h
+        np.subtract(1.0, d, out=d)
+        if self._reflect:
+            d[:, 0] *= 0.5
+        else:
+            d[:, 0] = 1.0
+        d[:, -1] = 1.0
         e = self._e[:rows]
         e[...] = self._off
         for dj, ej in zip(d, e):
-            _factor(dj, ej, self._h)
+            if dpttrf(dj, ej, 1, 1)[2] > 0:
+                raise np.linalg.LinAlgError(
+                    "the CN step matrix M = I - (h/2)(D/2 + rho) is not positive definite at "
+                    f"step length h = {h:g}: h * lambda_max(D/2 + rho) >= 2, where a step would "
+                    "multiply the top mode by a negative factor of size above 1; lower dt")
         self._rows = list(zip(d, e))
         self._lo, self._hi = lo, hi
 
     def solve(self, v: np.ndarray, k: int) -> np.ndarray:
-        """M_k^{-1}(2v) for time interval k."""
+        """M_k^{-1}(2v) for time interval k, solved as (W M_k) x = W (2v) with
+        the wall entries of 2v pinned to 0 (entry 0 only on the full line)."""
         if not self._lo <= k < self._hi:
             if k >= self._hi:
                 self._build(k, min(k + CHUNK, self._nt))
             else:
                 self._build(max(k + 1 - CHUNK, min(k, 1)), k + 1)
         d, e = self._rows[k - self._lo]
-        return dpttrs(d, e, _weigh(2.0 * v, self._reflect), overwrite_b=1)[0]
+        b = 2.0 * v
+        if self._reflect:
+            b[0] *= 0.5
+        else:
+            b[0] = 0.0
+        b[-1] = 0.0
+        return dpttrs(d, e, b, overwrite_b=1)[0]
 
     def step(self, v: np.ndarray, k: int) -> np.ndarray:
-        """One step M_k^{-1} N_k v over time interval k."""
+        """One step M_k^{-1} N_k v = M_k^{-1}(2v) - v over time interval k."""
         y = self.solve(v, k)
         y -= v
         return y
@@ -406,7 +333,7 @@ def _march_delta(rho: SpaceTimeDeviation, keep=None, keep_warmup: bool = False):
     dt = tg.dt
     if not t0 < dt:
         raise ValueError(f"time step {dt} must exceed the delta warm-up time {t0}")
-    stepper = _Stepper(sg)
+    reflect = isinstance(sg, HalfLine)
     nt = tg.n_steps
 
     nodes = _kept_nodes(keep, nt)
@@ -431,10 +358,10 @@ def _march_delta(rho: SpaceTimeDeviation, keep=None, keep_warmup: bool = False):
     rho0 = rho.values[0]
     # unit discrete mass even when sqrt(t0) is marginal against dx, on the
     # whole line; a half line keeps the x >= 0 half of that kernel
-    full = sg.full if stepper.reflect else sg
+    full = sg.full if reflect else sg
     base = heat_kernel(t0, full.x)
     base = base / np.dot(full.trapezoid_weights(), base)
-    if stepper.reflect:
+    if reflect:
         base = base[full.center_index:]
     v, _ = _check_slice(base * np.exp(0.5 * t0 * (rho0 + rho0[sg.center_index])), "warmup")
     if slot[0] >= 0:
@@ -442,13 +369,12 @@ def _march_delta(rho: SpaceTimeDeviation, keep=None, keep_warmup: bool = False):
 
     warm_steps = _warmup_substeps(t0, dt)
     warm_vals = [v]
-    rho_mid = _rho_mid(rho, 0)
     for j, h in enumerate(warm_steps):
-        v, m = _check_slice(stepper.step(v, h, rho_mid), f"warmup substep {j}")
+        v, m = _check_slice(_Factors(rho, h, (0, 1)).step(v, 0), f"warmup substep {j}")
         warm_vals.append(v)
     v = settle(1, v, m)
 
-    step = _Factors(stepper, rho, dt).step
+    step = _Factors(rho, dt).step
     for k in range(1, nt):
         v, m = _check_slice(step(v, k), str(k + 1))
         v = settle(k + 1, v, m)
@@ -507,7 +433,7 @@ def operator_norm(rho: SpaceTimeDeviation, s: float, t: float,
     v = 1.0 + np.random.Generator(np.random.Philox(7)).random(sg.n_points)
     v[0] = 0.0
     v[-1] = 0.0
-    span = _Factors(_Stepper(sg), rho, tg.dt, (ks, kt))
+    span = _Factors(rho, tg.dt, (ks, kt))
 
     est = 0.0
     converged = False
@@ -541,7 +467,6 @@ def adjoint_solve(rho: SpaceTimeDeviation, terminal: Potential) -> Field:
     require_full_line(sg, "adjoint_solve")
     if terminal.grid != sg:
         raise ValueError("terminal grid does not match deviation grid")
-    stepper = _Stepper(sg)
     nt = tg.n_steps
     dt = tg.dt
     out = np.empty((nt + 1, sg.n_points))
@@ -549,10 +474,11 @@ def adjoint_solve(rho: SpaceTimeDeviation, terminal: Potential) -> Field:
     v[0] = 0.0
     v[-1] = 0.0
     out[nt] = v
-    v = stepper.sweep_transpose(v, rho, 1, nt, out=out)
-    rho_mid = _rho_mid(rho, 0)
+    factors = _Factors(rho, dt)
+    for k in range(nt - 1, 0, -1):
+        v = out[k] = factors.step(v, k)
     for h in reversed(_warmup_substeps(DELTA_WARMUP, dt)):
-        v = stepper.step(v, h, rho_mid)
+        v = _Factors(rho, h, (0, 1)).step(v, 0)
     out[0] = v
     _require_finite(out, "adjoint sweep")
     return Field(tg, sg, out, strictly_positive=False)
@@ -583,8 +509,6 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
     i0 = sg.center_index
     rows, ls = sol.rows, sol.log_scale
     log_zt = float(np.log(rows[nt, i0]) + ls[nt])
-    stepper = _Stepper(sg)
-    r = stepper.reflect
 
     # adjoint in scaled units: true adjoint times exp(ls_K); the exp(ls_k - ls_K)
     # factors are folded into the forward rows below.  Half of each interval's
@@ -596,7 +520,7 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
     u[i0] = 1.0 / rows[nt, i0]
     partials = np.zeros((nt + 1, sg.n_points))
     rel_scale = np.exp(ls - ls[nt])
-    factors = _Factors(stepper, rho, dt)
+    factors = _Factors(rho, dt)
     chunk = min(CHUNK, nt - 1)
     halves = np.empty((chunk, sg.n_points))
     z_buf = np.empty((chunk + 1, sg.n_points))
@@ -618,12 +542,11 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
         partials[lo + 1:hi + 1] += g
 
     # first interval: replay the warm-up sub-steps (rows 0..1 are unscaled)
-    rho_mid = _rho_mid(rho, 0)
     scale0 = np.exp(-ls[nt])
     g0 = np.zeros(sg.n_points)
     for q in range(len(warm_steps) - 1, -1, -1):
         h = warm_steps[q]
-        x = stepper.solve(u, h, rho_mid)
+        x = _Factors(rho, h, (0, 1)).solve(u, 0)
         g0 += 0.5 * h * (warm_vals[q] + warm_vals[q + 1]) * scale0 * (0.5 * x)
         x -= u
         u = x
@@ -633,7 +556,7 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
     # warm-up tilt Z_0 = p(t0, .) exp((t0/2)(rho_0 + rho_0(center)))
     t0 = DELTA_WARMUP
     w0 = warm_vals[0] * u * scale0
-    if r:
+    if isinstance(sg, HalfLine):
         # node multiplicities; the centre term sums over the whole line
         partials[:, 1:] *= 2.0
         w0[1:] *= 2.0
@@ -649,16 +572,16 @@ def _chaos_orders(rho: SpaceTimeDeviation, order: int):
     """Space-time rows of each series term 0..order.
 
     Term n is accumulated by propagating the running time integral of the
-    source rho * (term n-1) with single CN heat steps; the time integral is
-    the trapezoid rule.  The n = 1 source at time 0 is rho(0,0) times the
+    source rho * (term n-1) with CN heat steps, the steps of a zero
+    time-constant deviation, factored once; the time integral is the
+    trapezoid rule.  The n = 1 source at time 0 is rho(0,0) times the
     initial delta, whose heat flow is added analytically.
     """
     tg, sg = rho.tgrid, rho.sgrid
     nt = tg.n_steps
     dt = tg.dt
     x = sg.x
-    stepper = _Stepper(sg)
-    zero_pot = np.zeros(sg.n_points)
+    heat = _Factors(SpaceTimeDeviation.time_constant(tg, Potential(sg, np.zeros(sg.n_points))), dt)
 
     z0 = np.zeros((nt + 1, sg.n_points))
     for k in range(1, nt + 1):
@@ -675,7 +598,7 @@ def _chaos_orders(rho: SpaceTimeDeviation, order: int):
         for k in range(nt):
             # running trapezoid: heat-propagate the lower half weight of the
             # source at t_k, then add the upper half weight at t_{k+1}
-            acc = stepper.step(acc + 0.5 * dt * src[k], dt, zero_pot) + 0.5 * dt * src[k + 1]
+            acc = heat.step(acc + 0.5 * dt * src[k], k) + 0.5 * dt * src[k + 1]
             zn[k + 1] = acc
         if n == 1:
             w = rho.values[0, sg.center_index]

@@ -224,6 +224,36 @@ def test_shape_and_bridge_work_over_budget_is_an_error(tmp_path, capsys, monkeyp
     assert not (tmp_path / "out").exists()
 
 
+HIT = ["hitting-time", "--t", "1", "--x", "1", "--lambda", "4"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    # one path fits the path-step budget, but 2e9 and 1e10 steps would take
+    # hours of the step loop at about 18 us per step
+    (["fk", "--duration", "1e8", "--paths", "1"],
+     "2000000000 time steps over duration 1e+08 exceed the bridge limit of 1e+05 steps"),
+    ([*HIT, "--paths", "1", "--steps", "10000000000"],
+     "--paths and --steps: 10000000000 time steps over duration 4 exceed the bridge limit"),
+    # arrays allocated at once: 4e10 grid nodes (320 GB), 2e14 (1.42 PiB) at a
+    # half-width of 1e12, 1e11 bin edges (745 GiB), and 5e9 hitting times
+    # (37 GiB) from runs within the path-step budget
+    (["spectral", "--dx", "1e-9"], "--dx and --half-width: step 1e-09 on [-20, 20] gives 4e+10 nodes"),
+    (["fk", "--duration", "1", "--dx", "1e-9"], "--dx and --half-width: step 1e-09"),
+    (["rearrange-check", "--dx", "1e-9"], "--dx and --half-width: step 1e-09 on [-10, 10]"),
+    (["spectral", "--half-width", "1e12"], "--dx and --half-width: step 0.01 on [-1e+12, 1e+12]"),
+    ([*HIT, "--paths", "100", "--bins", "100000000000"], "--bins must be at most 100000"),
+    ([*HIT, "--paths", "5000000000", "--steps", "2"],
+     "--paths and --steps: 5000000000 paths exceed the first-hitting limit of 1e+07 paths"),
+])
+def test_work_or_size_over_its_limit_is_an_error(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli.bridge, "_bridge_steps", lambda *a, **k: pytest.fail("ran before the check"))
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     # dt = 4 would also be too long for the solver (see below)
     ["limit-shape", "--lambda", "8", "--delta", "0.5", "--dt", "4"],

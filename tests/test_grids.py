@@ -183,6 +183,8 @@ def test_standard_grids_take_the_step_as_given():
         standard_grid(0.3, 20.0)
     with pytest.raises(ValueError, match="does not divide"):
         standard_grid(0.4, 1.0)  # divides 2 L but not L: x = 0 would not be a node
+    with pytest.raises(ValueError, match="more than the limit"):
+        standard_grid(1e-9, 20.0)  # divides L, but 4e10 nodes
     with pytest.raises(ValueError, match="does not divide"):
         standard_time_grid(0.3, 2.0)
     with pytest.raises(ValueError, match="does not divide"):

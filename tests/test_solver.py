@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dptsv, dpttrf
+from scipy.linalg.lapack import dptsv
 
 from kpztail.grids import (
     HalfLine,
@@ -17,7 +17,6 @@ from kpztail.solver import (
     CHUNK,
     SolverInstabilityError,
     _Factors,
-    _Stepper,
     adjoint_solve,
     chaos_series_point,
     log_terminal_and_gradient,
@@ -75,13 +74,21 @@ def test_grid_convergence_second_order():
     assert d2 <= d1 / 3.0  # ~4x shrink for a second-order scheme
 
 
-def _sweep(rho, v, ks, kt):
-    """The steps over the time intervals ks, ..., kt - 1 of rho, in order,
-    through `_Factors`."""
-    factors = _Factors(_Stepper(rho.sgrid), rho, rho.tgrid.dt)
-    for k in range(ks, kt):
+def _sweep(rho, v, ks, kt, descending=False):
+    """The steps over the time intervals ks, ..., kt - 1 of rho through
+    `_Factors`, in ascending order or, if `descending`, in reverse."""
+    factors = _Factors(rho, rho.tgrid.dt)
+    for k in range(kt - 1, ks - 1, -1) if descending else range(ks, kt):
         v = factors.step(v, k)
     return v
+
+
+def _one_step(grid, h, rho_mid, v):
+    """One CN step of length h with midpoint potential rho_mid: the step of
+    the time-constant deviation rho_mid, whose midpoint (r + r) 0.5 is r
+    exactly."""
+    rho = SpaceTimeDeviation.time_constant(TimeGrid(0.0, h, 1), Potential(grid, rho_mid))
+    return _Factors(rho, h).step(v, 0)
 
 
 def _sech2_kernel(t, x):
@@ -132,7 +139,6 @@ def test_stepper_matches_dense_solve():
     sg = SpaceGrid(4.0, 129)
     h = 2.0**-6
     rng = rng_from_seed(303)
-    stepper = _Stepper(sg)
     ordinary = rng.normal(0.0, 2.0, sg.n_points)
     m_mat, n_mat = _dense_step_matrices(sg, h, ordinary)
     v = rng.normal(size=sg.n_points)
@@ -141,7 +147,7 @@ def test_stepper_matches_dense_solve():
     want_t = n_mat.T @ np.linalg.solve(m_mat.T, v[1:-1])
     tol = 1e-13 * np.linalg.cond(m_mat) * np.abs(n_mat).sum(axis=1).max() * np.abs(v).max()
     v_before = v.copy()
-    got = stepper.step(v, h, ordinary)
+    got = _one_step(sg, h, ordinary, v)
     assert got[0] == 0.0 and got[-1] == 0.0
     # on the full line the step is its own transpose
     for ref in (want, want_t):
@@ -156,17 +162,16 @@ def test_stepper_matches_dense_solve():
     m_mat, _ = _dense_step_matrices(sg, h, strong)
     assert m_mat[0, 0] == 0.0 and np.linalg.eigvalsh(m_mat)[0] < 0
     with pytest.raises(np.linalg.LinAlgError, match=r"h = 0\.015625\b.*lower dt"):
-        stepper.step(v, h, strong)
+        _one_step(sg, h, strong, v)
 
 
 def test_stepper_singular_matrix_raises():
     # one interior node whose M entry 1 - (h/2)(-1/dx^2 + rho) is exactly zero
     sg = SpaceGrid(1.0, 3)
     rho_mid = np.full(3, 3.0)
-    stepper = _Stepper(sg)
     v = np.array([0.0, 1.0, 0.0])
     with pytest.raises(np.linalg.LinAlgError):
-        stepper.step(v, 1.0, rho_mid)
+        _one_step(sg, 1.0, rho_mid, v)
 
 
 def test_sweeps_raise_on_overflow():
@@ -327,11 +332,8 @@ def test_time_constant_march_matches_materialized(half_width, n_points, t_end, n
     sg = SpaceGrid(half_width, n_points)
     tg = TimeGrid(0.0, t_end, n_steps)
     rho_mid = profile(sg.x)
-    stepper = _Stepper(sg)
-    d = stepper._m_diagonal(tg.dt, stepper.kin_diag + rho_mid)
-    assert dpttrf(d, stepper._m_offdiag(tg.dt))[2] == 0  # W M is positive definite
-
     constant = SpaceTimeDeviation.time_constant(tg, Potential(sg, rho_mid))
+    _Factors(constant, tg.dt)  # W M is positive definite: dpttrf factors it
     copied = SpaceTimeDeviation(tg, sg, np.array(constant.values))
     assert constant.values.strides[0] == 0 and copied.values.strides[0] != 0
     factored, stepped = solve_delta_scaled(constant), solve_delta_scaled(copied)
@@ -475,7 +477,7 @@ def test_time_varying_singular_step_raises():
     with pytest.raises(np.linalg.LinAlgError):
         _sweep(rho, v, 0, 40)
     with pytest.raises(np.linalg.LinAlgError):
-        _Stepper(sg).sweep_transpose(v, rho, 0, 40)
+        _sweep(rho, v, 0, 40, descending=True)
     with pytest.raises(np.linalg.LinAlgError):
         operator_norm(rho, 0.0, 40.0, iters=10)
     with pytest.raises(np.linalg.LinAlgError):
@@ -512,12 +514,11 @@ def test_full_line_sweep_transpose_is_the_transpose():
     rng = rng_from_seed(701)
     u, v = rng.normal(size=(2, sg.n_points))
     u[[0, -1]] = v[[0, -1]] = 0.0
-    stepper = _Stepper(sg)
     lhs = np.dot(u, _sweep(rho, v, 0, nt))
-    assert lhs == pytest.approx(np.dot(stepper.sweep_transpose(u, rho, 0, nt), v), rel=1e-12)
+    assert lhs == pytest.approx(np.dot(_sweep(rho, u, 0, nt, descending=True), v), rel=1e-12)
     # the factored span of operator_norm, on an inner sub-span
     ks, kt = 7, nt - 3
-    span = _Factors(stepper, rho, tg.dt, (ks, kt))
+    span = _Factors(rho, tg.dt, (ks, kt))
     fwd, back = v, u
     for k in range(ks, kt):
         fwd = span.step(fwd, k)
@@ -565,7 +566,7 @@ def test_factored_steps_match_one_call_dptsv(half_line):
     v0[-1] = 0.0
     if not half_line:
         v0[0] = 0.0
-    stepper, h = _Stepper(grid), tg.dt
+    h = tg.dt
 
     def check(factors, rho, order):
         got = want = v0
@@ -575,12 +576,12 @@ def test_factored_steps_match_one_call_dptsv(half_line):
             assert np.array_equal(got, want), k
 
     for order in FACTOR_SWEEPS.values():
-        check(_Factors(stepper, varying, h), varying, order)
-        check(_Factors(stepper, constant, h), constant, order)
+        check(_Factors(varying, h), varying, order)
+        check(_Factors(constant, h), constant, order)
     ks, kt = 9, 61
-    check(_Factors(stepper, varying, h, (ks, kt)), varying, [*range(ks, kt), *range(kt - 1, ks - 1, -1)])
-    rho_mid = 0.5 * (varying.values[5] + varying.values[6])
-    assert np.array_equal(stepper.step(v0, 0.25 * h, rho_mid),
+    check(_Factors(varying, h, (ks, kt)), varying, [*range(ks, kt), *range(kt - 1, ks - 1, -1)])
+    # a span of one interval at a warm-up sub-step length
+    assert np.array_equal(_Factors(varying, 0.25 * h, (5, 6)).step(v0, 5),
                           _dptsv_step(grid, 0.25 * h, varying.values[5], varying.values[6], v0))
 
 
@@ -695,7 +696,7 @@ def test_half_line_step_matches_dense_reflected_matrices():
     m_mat, n_mat = np.eye(n) - 0.5 * h * a, np.eye(n) + 0.5 * h * a
     v = rng.normal(size=hl.n_points)
     v[-1] = 0.0
-    got = _Stepper(hl).step(v, h, rho_mid)
+    got = _one_step(hl, h, rho_mid, v)
     want = np.linalg.solve(m_mat, n_mat @ v[:-1])
     assert got[-1] == 0.0
     assert np.max(np.abs(got[:-1] - want)) <= 1e-12 * np.max(np.abs(want))
