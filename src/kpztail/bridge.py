@@ -47,7 +47,9 @@ of more than BRIDGE_PATH_STEP_BUDGET path-steps or more than MAX_BRIDGE_STEPS
 time steps (`BridgeConfig.steps_for`), a `first_hitting_times` call of more
 than MAX_HITTING_PATHS paths, an mc-backend limit shape whose calls add up
 to more than BRIDGE_PATH_STEP_BUDGET, and a limit-shape march of more than
-SHAPE_NODE_BUDGET half-line space-time nodes raise ValueError.
+SHAPE_NODE_BUDGET half-line space-time nodes raise ValueError.  The
+Monte Carlo limits raise its subclass BridgeLimitError, which the CLI
+prefixes with the flags that set the work.
 """
 
 from __future__ import annotations
@@ -92,6 +94,11 @@ MAX_SHAPE_DX = 0.1
 MAX_SHAPE_DT = 0.05
 
 
+class BridgeLimitError(ValueError):
+    """A Monte Carlo request over BRIDGE_PATH_STEP_BUDGET, MAX_BRIDGE_STEPS or
+    MAX_HITTING_PATHS; the CLI prefixes it with the flags that set the work."""
+
+
 @dataclass(frozen=True)
 class BridgeConfig:
     n_paths: int = 100_000
@@ -106,21 +113,20 @@ class BridgeConfig:
 
     def steps_for(self, duration: float) -> int:
         """Time steps over `duration`; raises ValueError unless it is positive and
-        finite, n_paths x steps is at most BRIDGE_PATH_STEP_BUDGET and steps is
-        at most MAX_BRIDGE_STEPS."""
+        finite, and BridgeLimitError unless n_paths x steps is at most
+        BRIDGE_PATH_STEP_BUDGET and steps is at most MAX_BRIDGE_STEPS."""
         if not 0 < duration < math.inf:
             raise ValueError(f"duration must be positive and finite, got {duration}")
         # capped just past the budget, so that a huge duration still converts
         steps = self.n_time_steps or max(
             2, math.ceil(min(20.0 * duration, BRIDGE_PATH_STEP_BUDGET + 1.0)))
         if self.n_paths * steps > BRIDGE_PATH_STEP_BUDGET:
-            raise ValueError(f"{self.n_paths} paths over duration {duration:g} take more than "
-                             f"the bridge budget of {BRIDGE_PATH_STEP_BUDGET:.3g} path-steps; "
-                             "lower the paths or the duration")
+            raise BridgeLimitError(f"{self.n_paths} paths over duration {duration:g} take more "
+                                   f"than the bridge budget of {BRIDGE_PATH_STEP_BUDGET:.3g} "
+                                   "path-steps")
         if steps > MAX_BRIDGE_STEPS:
-            raise ValueError(f"{steps} time steps over duration {duration:g} exceed the bridge "
-                             f"limit of {MAX_BRIDGE_STEPS:.3g} steps per path; lower the steps "
-                             "or the duration")
+            raise BridgeLimitError(f"{steps} time steps over duration {duration:g} exceed the "
+                                   f"bridge limit of {MAX_BRIDGE_STEPS:.3g} steps per path")
         return steps
 
 
@@ -358,9 +364,9 @@ def first_hitting_times(start: float, duration: float, cfg: BridgeConfig | None 
         raise ValueError(f"start must be finite and away from zero, got {start}")
     n_steps = cfg.steps_for(duration)
     if cfg.n_paths > MAX_HITTING_PATHS:
-        raise ValueError(f"{cfg.n_paths} paths exceed the first-hitting limit of "
-                         f"{MAX_HITTING_PATHS:.3g} paths, whose times are all held at once; "
-                         "lower the paths")
+        raise BridgeLimitError(f"{cfg.n_paths} paths exceed the first-hitting limit of "
+                               f"{MAX_HITTING_PATHS:.3g} paths, whose times are all held at "
+                               "once; lower the paths")
     ds = duration / n_steps
     out = np.empty(cfg.n_paths)
     row = 0
@@ -581,9 +587,9 @@ def _shape_profile_mc(lam: float, delta: float, opts: ShapeOptions) -> ShapeProf
     # one Monte Carlo call per point; the budget caps the calls together
     steps = sum(BridgeConfig(n_paths=opts.mc_paths).steps_for(lam * t) for t in t_vals)
     if opts.mc_paths * x_vals.size * steps > BRIDGE_PATH_STEP_BUDGET:
-        raise ValueError(f"{opts.mc_paths} paths at {t_vals.size} x {x_vals.size} points take "
-                         f"more than the bridge budget of {BRIDGE_PATH_STEP_BUDGET:.3g} "
-                         "path-steps; lower the paths or lam")
+        raise BridgeLimitError(f"{opts.mc_paths} paths at {t_vals.size} x {x_vals.size} points "
+                               "take more than the bridge budget of "
+                               f"{BRIDGE_PATH_STEP_BUDGET:.3g} path-steps; lower the paths or lam")
     h = np.empty((t_vals.size, x_vals.size))
     for i, t in enumerate(t_vals):
         duration = lam * t

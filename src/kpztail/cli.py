@@ -38,6 +38,8 @@ from .variational import RateOptions, rate_phi
 
 # histogram bins of `hitting-time`, one CSV row each
 MAX_BINS = 10**5
+# `rearrange-check` trials, about 0.25 ms each on the default grid
+MAX_TRIALS = 10**5
 
 
 def _default_out() -> str:
@@ -145,6 +147,8 @@ def _cmd_spectral(args) -> int:
 def _cmd_rearrange_check(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     rng = rng_from_seed(args.seed)
     grid = _space_grid(args)
     worst_norm = 0.0
@@ -248,7 +252,10 @@ def _cmd_tail_law(args) -> int:
 
 def _cmd_limit_shape(args) -> int:
     opts = bridge.ShapeOptions(dx=args.dx, dt=args.dt, mc_paths=args.paths, mc_seed=args.seed)
-    prof = bridge.shape_profile(args.lam, args.delta, backend=args.backend, opts=opts)
+    try:
+        prof = bridge.shape_profile(args.lam, args.delta, backend=args.backend, opts=opts)
+    except bridge.BridgeLimitError as exc:
+        raise ValueError(f"--lambda and --paths: {exc}") from None
     summary = {
         "lambda": args.lam,
         "delta": args.delta,
@@ -299,7 +306,10 @@ def _cmd_fk(args) -> int:
     grid = _space_grid(args)
     phi = _named_potential(args.phi, grid, args.amplitude, args.width, args.center)
     cfg = bridge.BridgeConfig(n_paths=args.paths, seed=args.seed)
-    mean, se = bridge.fk_estimate(phi, args.duration, args.start, args.end, cfg)
+    try:
+        mean, se = bridge.fk_estimate(phi, args.duration, args.start, args.end, cfg)
+    except bridge.BridgeLimitError as exc:
+        raise ValueError(f"--duration and --paths: {exc}") from None
     report = {
         "phi": args.phi,
         "duration": args.duration,

@@ -40,10 +40,9 @@ restarted the mixing at every trial eta:
     lam = 16:  45 / 49 / 126  ->  7 / 7 / 9
 
 with phi_hat within 5.5e-7 relative of theirs.  The mixing's inner products
-are the weighted `(a * b) @ w` sums of `inner`, never BLAS level-1 calls on
-flattened arrays (`np.vdot` there made OpenBLAS's threads spin and nearly
-doubled the CPU time), and its 2 (m + 1) history arrays are allocated once
-per solve.  A solve of more than RATE_NODE_BUDGET full-grid space-time
+are the weighted `(a * b) @ w` sums of `inner`, which keeps that form so
+that every iterate keeps its bits, and its 2 (m + 1) history arrays are
+allocated once per solve.  A solve of more than RATE_NODE_BUDGET full-grid space-time
 nodes is refused before any array is allocated.
 
 The iterate lives on the half line x >= 0 (`grids.HalfLine`).  Steiner

@@ -245,12 +245,38 @@ HIT = ["hitting-time", "--t", "1", "--x", "1", "--lambda", "4"]
     ([*HIT, "--paths", "100", "--bins", "100000000000"], "--bins must be at most 100000"),
     ([*HIT, "--paths", "5000000000", "--steps", "2"],
      "--paths and --steps: 5000000000 paths exceed the first-hitting limit of 1e+07 paths"),
+    # at about 0.25 ms per trial, 1e9 trials would take three days
+    (["rearrange-check", "--trials", "1000000000"], "--trials must be at most 100000"),
 ])
 def test_work_or_size_over_its_limit_is_an_error(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli.bridge, "_bridge_steps", lambda *a, **k: pytest.fail("ran before the check"))
+    monkeypatch.setattr(cli, "random_smooth_potential", lambda *a, **k: pytest.fail("ran before the check"))
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # lam = 3000 takes 20 x 2 lam = 120000 steps at t = 2, over the step limit
+    (["limit-shape", "--lambda", "3000", "--delta", "0.5", "--backend", "mc", "--paths", "1"],
+     "--lambda and --paths: 120000 time steps over duration 6000 exceed the bridge limit of "
+     "1e+05 steps per path"),
+    (["limit-shape", "--lambda", "150", "--delta", "0.5", "--backend", "mc", "--paths", "1000000"],
+     "--lambda and --paths: 1000000 paths at 4 x 9 points take more than the bridge budget of "
+     "1e+10 path-steps; lower the paths or lam"),
+    (["fk", "--duration", "1e8", "--paths", "1"],
+     "--duration and --paths: 2000000000 time steps over duration 1e+08 exceed the bridge limit "
+     "of 1e+05 steps per path"),
+    (["fk", "--duration", "1e9"],
+     "--duration and --paths: 100000 paths over duration 1e+09 take more than the bridge budget "
+     "of 1e+10 path-steps"),
+])
+def test_bridge_limit_errors_name_the_subcommands_flags(tmp_path, capsys, monkeypatch, argv,
+                                                        message):
+    monkeypatch.setattr(cli.bridge, "_bridge_steps", lambda *a, **k: pytest.fail("ran before the check"))
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -10,9 +10,15 @@ No linter ships with the project, so this walks the syntax tree.
   outside its own definition.  A reference is a name, an attribute or an
   imported name; in the benchmark a string constant counts too, since its
   span targets are looked up by string.  Dunder names are exempt.
+
+Importing the package pins OpenBLAS to one thread before numpy loads,
+unless the environment already sets OPENBLAS_NUM_THREADS.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,3 +144,15 @@ def test_the_checker_finds_test_only_code():
 def test_no_test_only_code_in_the_package():
     assert unreferenced({p.stem: p.read_text() for p in PACKAGE},
                         {p.stem: p.read_text() for p in BENCH}) == []
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_importing_the_package_pins_openblas_before_numpy(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, sys, kpztail; print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.split() == ["False", expected]
