@@ -42,8 +42,8 @@ restarted the mixing at every trial eta:
 with phi_hat within 5.5e-7 relative of theirs.  The mixing's inner products
 are the weighted `(a * b) @ w` sums of `inner`, which keeps that form so
 that every iterate keeps its bits, and its 2 (m + 1) history arrays are
-allocated once per solve.  A solve of more than RATE_NODE_BUDGET full-grid space-time
-nodes is refused before any array is allocated.
+allocated once per solve.  A solve of more than RATE_NODE_BUDGET full-grid
+space-time nodes is refused before any array is allocated.
 
 The iterate lives on the half line x >= 0 (`grids.HalfLine`).  Steiner
 symmetrization keeps ||rho|| and does not lower Z(T, 0) (criterion 5 checks
