@@ -40,6 +40,9 @@ from .variational import RateOptions, rate_phi
 MAX_BINS = 10**5
 # `rearrange-check` trials, about 0.25 ms each on the default grid
 MAX_TRIALS = 10**5
+# `rearrange-check` trials times grid nodes: MAX_TRIALS on the default
+# 401-node grid; a trial on 800001 nodes takes about 0.2 s
+MAX_TRIAL_NODES = MAX_TRIALS * 401
 
 
 def _default_out() -> str:
@@ -149,8 +152,12 @@ def _cmd_rearrange_check(args) -> int:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.trials > MAX_TRIALS:
         raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
-    rng = rng_from_seed(args.seed)
     grid = _space_grid(args)
+    if args.trials * grid.n_points > MAX_TRIAL_NODES:
+        raise ValueError(f"--trials, --dx and --half-width: {args.trials} trials on "
+                         f"{grid.n_points} grid nodes exceed the limit of {MAX_TRIAL_NODES:.3g} "
+                         "trial-nodes")
+    rng = rng_from_seed(args.seed)
     worst_norm = 0.0
     worst_hl = -np.inf
     for _ in range(args.trials):

@@ -69,8 +69,8 @@ path, so a step gives the same bits however its interval was factored.  A
 W M that is not positive definite raises when its chunk or span is
 factored, up to CHUNK - 1 steps before a sweep reaches it.  The gradient's
 backward sweep assembles its node partials one chunk at a time as well,
-each entry summed in step order.  The march stores only the time nodes its
-caller keeps.
+in the forward rows it has consumed, each entry summed in step order.
+The march stores only the time nodes its caller keeps.
 
 A deviation on a HalfLine (the nodes x >= 0, standing for an even
 function) is marched with a reflecting centre row: node 1 couples to the
@@ -85,36 +85,16 @@ W^-1 a and scales the partials by the node multiplicities.  `operator_norm`
 and `adjoint_solve` are not validated on a half line and refuse one; on it
 a step is not its own transpose.
 
-Measured on a 2-vCPU Xeon VM (traced benchmark runs, perfbench seed 0,
-medians of three pairs):
-- The step taken as M^{-1}(2v) - v against the explicit half-step N v and
-  the separate transposed step it replaced: a rate forward step on 201
-  half-line nodes takes 17.5 us instead of 20.5 us and a gradient step
-  28.5 us instead of 34.4 us; at n = 801 a forward step 32.1 us instead of
-  37.9 us and a gradient step 61.8 us instead of 74.7 us; a power-iteration
-  step at n = 201 5.0 us instead of 8.7 us; a limit-shape march step (up
-  to 2881 half-line nodes) 29.4 us instead of 36.6 us.
-- LDL^T against the partial-pivoting LU kernel it replaced (`dgtsv`, and
-  `dgttrf` with `dgttrs` in factored spans): a limit-shape march step on
-  2881 half-line nodes takes 37 us instead of 58 us; a rate forward step
-  on 201 half-line nodes 19.8 us instead of 25.6 us and a gradient step
-  32.7 us instead of 40.5 us; at n = 801 a forward step 34.9 us instead of
-  41.7 us and a gradient step 65.9 us instead of 78.3 us; a
-  power-iteration step at n = 201 7.9 us instead of 10.3 us.
-  The solve is most of a step on a wide grid and little of it on a small
-  one, where the call overhead and the checks dominate.
-- Earlier choices, measured with the LU kernel: the half line cut a
-  gradient step by 29% at n = 401 and 42% at n = 801 against the full line
-  it stands for; chunked coefficients cut a forward step by 26% and a
-  gradient step by 33% at n = 401; factored spans cut a power-iteration
-  step by 31%; one factorization per time-constant march cut a step at
-  n = 5761 by 37% and a limit-shape run's peak memory from 644 MB to
-  83 MB.  `log_terminal_and_gradient` factors its backward sweep again:
-  its deviations vary in time and it takes each step once forward and once
-  backward, and at n = 801 a cache of the forward factors for the
-  backward sweep held about 23 MB per call and raised the peak memory of
-  the benchmark's `probes` workload by 18% to save one factorization per
-  backward step.
+A gradient holds one (nt + 1) x n array: the forward march's rows, which
+the backward sweep overwrites with the partials, chunk by chunk, once no
+later chunk reads them.  A rate solve's other large arrays have the same
+size (the iterate, its mixing history), so each one more raises its peak
+memory by a large part.  For the same reason the backward sweep factors
+each interval again instead of keeping the forward sweep's factors, which
+would take two more such arrays.  The measurements behind these choices
+are in CHANGES.md, in the entry that made each one and the BENCH_*.json
+file it names; this layout's are in the entry "One space-time array per
+adjoint gradient" and `BENCH_0c6cca6.json`.
 """
 
 from __future__ import annotations
@@ -513,12 +493,14 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
     # adjoint in scaled units: true adjoint times exp(ls_K); the exp(ls_k - ls_K)
     # factors are folded into the forward rows below.  Half of each interval's
     # sensitivity goes to each of its two end nodes.  The recursion runs one
-    # step at a time; the sensitivities of a chunk of intervals are then
-    # assembled in array operations, each entry in the per-step order:
-    # partials[j] receives g_j before g_{j-1}.
+    # step at a time; the sensitivities g_k of a chunk of intervals are then
+    # assembled in array operations over the forward rows they were read
+    # from: the chunk (lo, hi) is the last to read rows lo + 1, ..., hi, and
+    # node lo's 0 + g_lo waits in `pending` for the next chunk down.  Every
+    # node sums 0 + g_j, then g_{j-1} (adding g_j to 0 turns a -0 into +0).
     u = np.zeros(sg.n_points)
     u[i0] = 1.0 / rows[nt, i0]
-    partials = np.zeros((nt + 1, sg.n_points))
+    pending = np.zeros(sg.n_points)
     rel_scale = np.exp(ls - ls[nt])
     factors = _Factors(rho, dt)
     chunk = min(CHUNK, nt - 1)
@@ -538,8 +520,10 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
         g = np.add(z[1:], z[:-1], out=g_buf[:hi - lo])
         g *= 0.25 * dt
         g *= halves[:hi - lo]
-        partials[lo:hi] += g
-        partials[lo + 1:hi + 1] += g
+        np.add(g[1:], 0.0, out=rows[lo + 1:hi])
+        rows[hi] = pending
+        rows[lo + 1:hi + 1] += g
+        np.add(g[0], 0.0, out=pending)
 
     # first interval: replay the warm-up sub-steps (rows 0..1 are unscaled)
     scale0 = np.exp(-ls[nt])
@@ -550,8 +534,10 @@ def log_terminal_and_gradient(rho: SpaceTimeDeviation):
         g0 += 0.5 * h * (warm_vals[q] + warm_vals[q + 1]) * scale0 * (0.5 * x)
         x -= u
         u = x
-    partials[0] += 0.5 * g0
-    partials[1] += 0.5 * g0
+    partials = rows
+    partials[0] = 0.0
+    partials[1] = pending
+    partials[:2] += 0.5 * g0
 
     # warm-up tilt Z_0 = p(t0, .) exp((t0/2)(rho_0 + rho_0(center)))
     t0 = DELTA_WARMUP

@@ -30,19 +30,17 @@ damped map and projects onto rho >= 0.  `RateReport.rounds` keeps one
 ANDERSON_DEPTH and DAMPING have one value in every caller, so they are not
 options.
 
-Iterations on the quick grid (n = 401, dt = 0.02) from rho_star /
-half_rho_star / zeros, against the earlier secant rounds on eta that
-restarted the mixing at every trial eta:
+On the quick grid (n = 401, dt = 0.02) the loop takes 5 to 9 iterations
+at lam = 1 to 16 from each start; the CHANGES.md entry "One-loop rate
+optimizer" compares them with the nested secant rounds it replaced.
 
-    lam = 1:   20 / 15 /  72  ->  6 / 6 / 5
-    lam = 4:   21 / 29 / 100  ->  6 / 6 / 7
-    lam = 8:   32 / 42 / 130  ->  7 / 7 / 8
-    lam = 16:  45 / 49 / 126  ->  7 / 7 / 9
-
-with phi_hat within 5.5e-7 relative of theirs.  The mixing's inner products
-are the weighted `(a * b) @ w` sums of `inner`, which keeps that form so
-that every iterate keeps its bits, and its 2 (m + 1) history arrays are
-allocated once per solve.  A solve of more than RATE_NODE_BUDGET full-grid
+Besides one gradient at a time, the sweep's one space-time array, the loop
+holds arrays of the iterate's size allocated once per solve: the iterate,
+the mixing's 2 (m + 1) history arrays and one scratch array, in which every
+product of the loop is formed (the `(a * b) @ w` sums of `inner`, which
+keep that form so that every iterate keeps its bits, and the projected
+gradient and its square).  The history and the scratch are freed before
+the full-line check.  A solve of more than RATE_NODE_BUDGET full-grid
 space-time nodes is refused before any array is allocated.
 
 The iterate lives on the half line x >= 0 (`grids.HalfLine`).  Steiner
@@ -326,8 +324,11 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
         vals[nt] = u[nt - 1]  # final node mirrors the last costed slice
         return SpaceTimeDeviation(tgrid, sgrid, vals)
 
+    # every full-size product of the loop: inner's a * b, the projected gradient
+    scratch = np.empty((nt, sgrid.n_points))
+
     def inner(a, b):
-        return float(dt * ((a * b) @ w_space).sum())
+        return float(dt * (np.multiply(a, b, out=scratch) @ w_space).sum())
 
     def log_and_gradient():
         log_zt, partials = log_terminal_and_gradient(current_rho())
@@ -353,7 +354,7 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
         # the dual variable whose damped step meets the linearized constraint
         eta = max((inner(u, grad) + c_val / DAMPING) / (mult * inner(grad, grad)), 0.0)
         # projected KKT gradient u - max(u - g, 0) = min(u, g), g = (u - eta mult grad) / mult
-        pg = grad * -(eta * mult)
+        pg = np.multiply(grad, -(eta * mult), out=scratch)
         pg += u
         pg /= mult
         np.minimum(pg, u, out=pg)
@@ -370,13 +371,14 @@ def rate_phi(lam: float, opts: RateOptions | None = None) -> RateReport:
         del grad  # free it before the next sweep allocates its own
         np.maximum(u, 0.0, out=u)
 
+    cost = inner(u, u) / cost_scale
+    del mixer, scratch, grad  # free before the full-line check allocates its arrays
     # the mirror on the full grid; its full-line march checks feasibility
     # independently of the half-line sweeps
     rho_hat = SpaceTimeDeviation(tgrid, full, sgrid.unfold(current_rho().values))
     log_zt = log_z_terminal(rho_hat)
     c_val = target - log_zt
     converged = _kkt_holds(c_val, eta, snorm, opts)
-    cost = inner(u, u) / cost_scale
     phi_hat = (lam**1.5) * cost
     cert = _smallest_certificate(lam, opts) if opts.compute_certificate else float("nan")
     return RateReport(

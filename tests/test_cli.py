@@ -247,6 +247,10 @@ HIT = ["hitting-time", "--t", "1", "--x", "1", "--lambda", "4"]
      "--paths and --steps: 5000000000 paths exceed the first-hitting limit of 1e+07 paths"),
     # at about 0.25 ms per trial, 1e9 trials would take three days
     (["rearrange-check", "--trials", "1000000000"], "--trials must be at most 100000"),
+    # at about 0.2 s per trial on 800001 nodes, 1e5 trials would take 5.5 hours
+    (["rearrange-check", "--dx", "0.000025", "--trials", "100000"],
+     "--trials, --dx and --half-width: 100000 trials on 800001 grid nodes exceed the limit of "
+     "4.01e+07 trial-nodes"),
 ])
 def test_work_or_size_over_its_limit_is_an_error(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli.bridge, "_bridge_steps", lambda *a, **k: pytest.fail("ran before the check"))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,6 +390,31 @@ def test_gradient_pinned():
     assert partials[200, 100] == 0.0037377642704649744
     assert hashlib.sha256(np.ascontiguousarray(partials, dtype="<f8").tobytes()).hexdigest() == (
         "ee65ecedf0bd846ddbf850c404c0b75995ce7594e0a1d5ff141315c6412b2526")
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that fn() allocates above what is allocated at its entry."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("half_line", [False, True])
+def test_gradient_holds_one_space_time_array(half_line):
+    # the forward rows turn into the partials in place; two (nt + 1) x n
+    # arrays, the rows and a separate partials array, peaked at 2.56
+    full = SpaceGrid(20.0, 801) if half_line else SpaceGrid(10.0, 401)
+    tg = TimeGrid(0.0, 8.0, 400)
+    rho = random_smooth_deviation(rng_from_seed(3), tg, full)
+    if half_line:
+        vals = (rho.values + rho.values[:, ::-1]) / 2
+        rho = SpaceTimeDeviation(tg, HalfLine(full), vals[:, full.center_index:].copy())
+    assert rho.sgrid.n_points == 401
+    array_bytes = (tg.n_steps + 1) * rho.sgrid.n_points * 8
+    assert _traced_peak(lambda: log_terminal_and_gradient(rho)) < 2 * array_bytes
 
 
 # Time-varying sweeps pinned bitwise.  The step counts straddle the edges of
