@@ -404,8 +404,8 @@ def _traced_peak(fn) -> int:
 
 @pytest.mark.parametrize("half_line", [False, True])
 def test_gradient_holds_one_space_time_array(half_line):
-    # the forward rows turn into the partials in place; two (nt + 1) x n
-    # arrays, the rows and a separate partials array, peaked at 2.56
+    # the forward rows turn into the partials in place; a partials array
+    # beside the rows would take the peak above 2.5 (nt + 1) x n arrays
     full = SpaceGrid(20.0, 801) if half_line else SpaceGrid(10.0, 401)
     tg = TimeGrid(0.0, 8.0, 400)
     rho = random_smooth_deviation(rng_from_seed(3), tg, full)

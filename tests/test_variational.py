@@ -246,15 +246,15 @@ def test_quick_grid_rate_from_each_start(lam, init):
 def test_quick_rate_solve_peak_memory():
     # the iterate, 2 (m + 1) mixing arrays, one scratch array and one
     # gradient's space-time array, each about one (nt, n) half-line array;
-    # full-size temporaries for every inner product peaked at 11.03 arrays
-    tg_steps, half_nodes = int(round(8.0 / QUICK.dt)), (QUICK.n_points + 1) // 2
+    # a full-size temporary per inner product would take the peak above 11
+    nt, half_nodes = int(round(8.0 / QUICK.dt)), (QUICK.n_points + 1) // 2
     tracemalloc.start()
     try:
         rate_phi(4.0, QUICK)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10.5 * tg_steps * half_nodes * 8
+    assert peak < 10.5 * nt * half_nodes * 8
 
 
 def test_rate_node_budget_is_checked_before_allocation():
