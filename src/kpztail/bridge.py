@@ -12,18 +12,16 @@ principle.
 
 Every Monte Carlo path comes from one step kernel, `_bridge_steps`, which
 advances a whole block of BLOCK_SIZE paths in place; `_path_weights` and
-`first_hitting_times` only add their own per-step work.  The normal draws are
-the floor of the cost: for 100k paths x 640 steps they take about 1.35 s of
-the 2.0-2.2 s of CPU time the path integrals cost on a 2-vCPU x86-64 VM.
-The rest is whole-block array operations on buffers that are reused from
-step to step.  Measured and rejected: splitting a block's arithmetic into
-chunks of 16k, 8k, 4k or 2k paths (2.3, 2.3, 2.5 and 2.9 s).  Threads were
-not adopted because perfbench gates the process CPU time (`cpu_s`), and
-they trade CPU time for wall time: two worker threads computing whole
-blocks cut 400k paths x 640 steps at lam = 32 from 6.4 to 4.0 s of wall
-time but added 4-6% of CPU time (ROADMAP item 8).  Each step draws one
-full block, so the draws, and with them every output, do not depend on how
-the arithmetic is organised.
+`first_hitting_times` only add their own per-step work.  The Philox normal
+draws are the floor of the cost; the rest is whole-block array operations on
+buffers that are reused from step to step, since splitting a block into
+smaller chunks made it slower.  Each step draws one full block, so the draws,
+and with them every output, do not depend on how the arithmetic is
+organised.  The kernel runs on one thread: worker threads over whole blocks
+would cut wall time but add CPU time.  The measurements are in the CHANGES.md
+entry "One in-place bridge-step kernel for all Monte Carlo paths" (its ten
+benchmark pairs were not kept as a BENCH file) and, for threads, in ROADMAP
+item 8.
 
 First hitting times of zero use the exact within-step crossing probability
 exp(-2 a b / ds) of the conditional bridge between consecutive samples,

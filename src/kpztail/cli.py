@@ -7,11 +7,18 @@ floating-point output uses 12 significant digits with '.' as the decimal
 separator, so repeated runs with one configuration produce byte-identical
 CSV bodies.  The default output directory honors the KPZTAIL_OUT
 environment variable.
+
+Each flag's accepted values are declared once, as its type= callable, and a
+--config value is converted by the same callable.  Every bad input, whether
+a value outside its flag's domain, a usage error, an unreadable config file
+or a ValueError of the library, leaves `main` by one path: one stderr line
+"error: ..." and exit code 2, before any output directory is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import hashlib
 import json
@@ -45,8 +52,43 @@ MAX_TRIALS = 10**5
 MAX_TRIAL_NODES = MAX_TRIALS * 401
 
 
-def _default_out() -> str:
-    return os.environ.get("KPZTAIL_OUT", "out")
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, which `main` reports."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _domain(what: str, convert, accept):
+    """A type= callable: the text converted by `convert`, refused unless `accept`
+    holds; argparse prefixes the refusal with the flag."""
+    def parse(text: str):
+        # an ArgumentTypeError comes from a list's item
+        with contextlib.suppress(ValueError, argparse.ArgumentTypeError):
+            if accept(value := convert(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return parse
+
+
+def _count(cap: float = math.inf):
+    return _domain(f"an integer in [1, {cap}]", int, lambda v: 1 <= v <= cap)
+
+
+def _list_of(what: str, item):
+    return _domain(f"a non-empty comma-separated list of {what}",
+                   lambda text: [item(v) for v in text.split(",") if v], bool)
+
+
+_FINITE = _domain("finite", float, math.isfinite)
+_POSITIVE = _domain("positive and finite", float, lambda v: 0 < v < math.inf)
+_DEPTH = _domain("a depth in (0, 32]", float, lambda v: 0 < v <= 32)  # rate_phi's depths
+_DEPTHS = _list_of("depths in (0, 32]", _DEPTH)
+_CRITERIA = _list_of(f"criteria from {', '.join(map(str, selftest.CHECKS))}",
+                     _domain("a criterion", int, selftest.CHECKS.__contains__))
+_SEED = _domain("an integer in [0, 2**128)", int, lambda v: 0 <= v < 2**128)  # a Philox key
+_STEPS = _domain(f"0 or an integer in [2, {bridge.MAX_BRIDGE_STEPS}]", int,
+                 lambda v: v == 0 or 2 <= v <= bridge.MAX_BRIDGE_STEPS)
 
 
 def _write_artifacts(out_dir: Path, subcommand: str, config: dict, files: dict,
@@ -93,11 +135,6 @@ def _space_grid(args) -> SpaceGrid:
 
 def _named_potential(name: str, grid: SpaceGrid, amplitude: float, width: float,
                      center: float) -> Potential:
-    if not 0 < width < math.inf:
-        raise ValueError(f"--width must be positive and finite, got {width:g}")
-    for flag, value in (("--amplitude", amplitude), ("--center", center)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value:g}")
     if width < grid.dx:
         raise ValueError(f"--width must be at least the space step {grid.dx:g}, got {width:g}; "
                          "a narrower bump is a one-node spike")
@@ -107,9 +144,7 @@ def _named_potential(name: str, grid: SpaceGrid, amplitude: float, width: float,
         y = (grid.x - center) / width
         if name == "sech2":
             return Potential(grid, amplitude / np.cosh(y) ** 2)
-        if name == "gaussian":
-            return Potential(grid, amplitude * np.exp(-y**2))
-    raise ValueError(f"unknown potential {name!r}")
+        return Potential(grid, amplitude * np.exp(-y**2))  # gaussian
 
 
 # --- subcommand handlers -------------------------------------------------------
@@ -148,10 +183,6 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_rearrange_check(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if args.trials > MAX_TRIALS:
-        raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     grid = _space_grid(args)
     if args.trials * grid.n_points > MAX_TRIAL_NODES:
         raise ValueError(f"--trials, --dx and --half-width: {args.trials} trials on "
@@ -232,8 +263,6 @@ def _cmd_rate(args) -> int:
 
 def _cmd_tail_law(args) -> int:
     lams = sorted(args.lambdas)
-    if any(not 0 < v <= 32 for v in lams):  # rate_phi's depths, checked before any solve
-        raise ValueError("--lambdas entries must lie in (0, 32]")
     rows = [row for row, _, _ in selftest.tail_law(lams, _rate_options(args))]
     ratios = [row.ratio for row in rows]
     all_converged = all(row.converged for row in rows)
@@ -278,12 +307,6 @@ def _cmd_limit_shape(args) -> int:
 
 
 def _cmd_hitting_time(args) -> int:
-    if args.bins < 1:
-        raise ValueError(f"--bins must be >= 1, got {args.bins}")
-    if args.bins > MAX_BINS:
-        raise ValueError(f"--bins must be at most {MAX_BINS}, got {args.bins}")
-    if not all(map(math.isfinite, (args.t, args.x, args.lam))):
-        raise ValueError("--t, --x and --lambda must be finite")
     horizon = args.lam * args.t
     s_vals = np.linspace(horizon / 400, horizon * (1 - 1e-6), 400)
     where = f"--t {args.t:g}, --x {args.x:g}, --lambda {args.lam:g}"
@@ -296,7 +319,7 @@ def _cmd_hitting_time(args) -> int:
     cfg = bridge.BridgeConfig(n_paths=args.paths, n_time_steps=args.steps, seed=args.seed)
     try:
         hits = bridge.first_hitting_times(args.lam * args.x, horizon, cfg)
-    except ValueError as exc:
+    except bridge.BridgeLimitError as exc:
         raise ValueError(f"--paths and --steps: {exc}") from None
     edges = np.linspace(0.0, horizon, args.bins + 1)
     counts, _ = np.histogram(hits, bins=edges)
@@ -344,15 +367,14 @@ def _cmd_figure1(args) -> int:
 
 def _cmd_selftest(args) -> int:
     profile = selftest.QUICK if args.quick else selftest.FULL
-    criteria = args.criteria or sorted(selftest.CHECKS.keys())
-    results = selftest.run_selftest(criteria, profile)
+    results = selftest.run_selftest(args.criteria, profile)
     files = {}
     for res in results:
         for name, body in res.artifacts.items():
             files[f"criterion_{res.criterion}/{name}"] = body
     summary = {
         "profile": profile.name,
-        "criteria": criteria,
+        "criteria": [r.criterion for r in results],
         "results": [
             {"criterion": r.criterion, "name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results
@@ -370,27 +392,33 @@ def _cmd_selftest(args) -> int:
 
 def _add_common(p, seed: bool = False):
     """--out and --config; --seed only for the subcommands that draw random numbers."""
-    p.add_argument("--out", default=None, help="output directory (default $KPZTAIL_OUT or ./out)")
+    p.add_argument("--out", default=os.environ.get("KPZTAIL_OUT", "out"),
+                   help="output directory (default $KPZTAIL_OUT or ./out)")
     p.add_argument("--config", default=None, help="JSON file with defaults; flags win")
     if seed:
-        p.add_argument("--seed", type=int, default=12345)
+        p.add_argument("--seed", type=_SEED, default=12345)
 
 
 def _add_grid_flags(p, dx=0.01, half_width=20.0):
-    p.add_argument("--dx", type=float, default=dx)
-    p.add_argument("--half-width", dest="half_width", type=float, default=half_width)
+    p.add_argument("--dx", type=_POSITIVE, default=dx)
+    p.add_argument("--half-width", dest="half_width", type=_POSITIVE, default=half_width)
 
 
 def _add_potential_flags(p):
     p.add_argument("--phi", default="sech2", choices=("sech2", "rstar", "gaussian"))
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--width", type=float, default=1.0)
-    p.add_argument("--center", type=float, default=0.0)
+    p.add_argument("--amplitude", type=_FINITE, default=1.0)
+    p.add_argument("--width", type=_POSITIVE, default=1.0)
+    p.add_argument("--center", type=_FINITE, default=0.0)
+
+
+def _add_rate_flags(p):
+    p.add_argument("--n-points", dest="n_points", type=_count(), default=801)
+    p.add_argument("--dt", type=_POSITIVE, default=0.01)
+    p.add_argument("--max-iterations", dest="max_iterations", type=_count(), default=2000)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="kpztail",
-                                 description="Desk-scale weak-noise KPZ upper-tail experiments")
+    ap = _Parser(prog="kpztail", description="Desk-scale weak-noise KPZ upper-tail experiments")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("spectral", help="ground-state functional report for one potential")
@@ -402,45 +430,41 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rearrange-check", help="randomized rearrangement suite")
     _add_common(p, seed=True)
     _add_grid_flags(p, dx=0.05, half_width=10.0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count(MAX_TRIALS), default=100)
     p.set_defaults(fn=_cmd_rearrange_check)
 
     p = sub.add_parser("rate", help="rate-function optimization at one tail depth")
     _add_common(p)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--zeta", type=float, default=None)
-    p.add_argument("--n-points", dest="n_points", type=int, default=801)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int, default=2000)
+    p.add_argument("--lambda", dest="lam", type=_DEPTH, required=True)
+    p.add_argument("--zeta", type=_POSITIVE, default=None)
+    _add_rate_flags(p)
     p.set_defaults(fn=_cmd_rate)
 
     p = sub.add_parser("tail-law", help="scaled rate values across tail depths")
     _add_common(p)
-    p.add_argument("--lambdas", type=lambda s: [float(v) for v in s.split(",") if v],
-                   default=None, help="comma-separated depths, e.g. 4,8,16")
-    p.add_argument("--n-points", dest="n_points", type=int, default=801)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int, default=2000)
+    p.add_argument("--lambdas", type=_DEPTHS, required=True,
+                   help="comma-separated depths, e.g. 4,8,16")
+    _add_rate_flags(p)
     p.set_defaults(fn=_cmd_tail_law)
 
     p = sub.add_parser("limit-shape", help="tilted-height field vs the limit shape")
     _add_common(p, seed=True)  # read by the mc backend
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_POSITIVE, required=True)
+    p.add_argument("--delta", type=_POSITIVE, required=True)
     p.add_argument("--backend", choices=("pde", "mc"), default="pde")
-    p.add_argument("--dx", type=float, default=0.05)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--paths", type=int, default=50_000)
+    p.add_argument("--dx", type=_POSITIVE, default=0.05)
+    p.add_argument("--dt", type=_POSITIVE, default=0.01)
+    p.add_argument("--paths", type=_count(), default=50_000)
     p.set_defaults(fn=_cmd_limit_shape)
 
     p = sub.add_parser("hitting-time", help="first-hitting density table and MC histogram")
     _add_common(p, seed=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--paths", type=int, default=100_000)
-    p.add_argument("--bins", type=int, default=200)
-    p.add_argument("--steps", type=int, default=2000,
+    p.add_argument("--t", type=_POSITIVE, required=True)
+    p.add_argument("--x", type=_FINITE, required=True)
+    p.add_argument("--lambda", dest="lam", type=_POSITIVE, required=True)
+    p.add_argument("--paths", type=_count(bridge.MAX_HITTING_PATHS), default=100_000)
+    p.add_argument("--bins", type=_count(MAX_BINS), default=200)
+    p.add_argument("--steps", type=_STEPS, default=2000,
                    help="time steps per path; 0 means 20 per unit duration")
     p.set_defaults(fn=_cmd_hitting_time)
 
@@ -448,10 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=True)
     _add_grid_flags(p)
     _add_potential_flags(p)
-    p.add_argument("--duration", type=float, required=True)
-    p.add_argument("--from", dest="start", type=float, default=0.0)
-    p.add_argument("--to", dest="end", type=float, default=0.0)
-    p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--duration", type=_POSITIVE, required=True)
+    p.add_argument("--from", dest="start", type=_FINITE, default=0.0)
+    p.add_argument("--to", dest="end", type=_FINITE, default=0.0)
+    p.add_argument("--paths", type=_count(), default=100_000)
     p.set_defaults(fn=_cmd_fk)
 
     p = sub.add_parser("figure1", help="limit-shape sections at t = 0.5, 1, 1.5")
@@ -461,60 +485,57 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the acceptance suite")
     _add_common(p)
     p.add_argument("--quick", action="store_true", help="reduced trial counts and grids")
-    p.add_argument("--criteria", type=lambda s: [int(v) for v in s.split(",") if v],
-                   default=None, help="comma-separated criterion numbers (default: all)")
+    p.add_argument("--criteria", type=_CRITERIA, default=None,
+                   help="comma-separated criterion numbers (default: all)")
     p.set_defaults(fn=_cmd_selftest)
     return ap
 
 
-def _apply_config(ap: argparse.ArgumentParser, args, argv) -> argparse.Namespace:
-    """Parse again with the --config file's values as the subcommand's defaults.
+def _parse_args(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv with the --config file's values as the subcommand's defaults.
 
-    A value is converted by the option's own type= from the text it would
+    A first pass, with no flag required, finds the subcommand and the file.
+    A file value is converted by the option's own type= from the text it would
     have after the flag (a list as its comma-joined items), so it is checked
     as that text would be.  A switch takes a JSON boolean and an option
-    without type= a string.  Flags on the command line still win.
+    without type= a string among its choices.  A flag that the file sets is
+    no longer required; flags on the command line still win.
     """
-    try:
-        loaded = json.loads(Path(args.config).read_text())
-    except (OSError, ValueError) as exc:
-        ap.error(f"cannot read config file {args.config}: {exc}")
-    if not isinstance(loaded, dict):
-        ap.error(f"config file {args.config} must hold a JSON object")
     subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    required = [a for sub in subparsers.choices.values() for a in sub._actions if a.required]
+    for action in required:
+        action.required = False
+    args = ap.parse_args(argv)
+    try:
+        loaded = json.loads(Path(args.config).read_text()) if args.config else {}
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"--config: cannot read config file {args.config}: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ValueError(f"--config: config file {args.config} must hold a JSON object")
     sub = subparsers.choices[args.subcommand]
     actions = {a.dest: a for a in sub._actions if a.dest != "help"}
     for key, value in loaded.items():
         action = actions.get(key)
         if action is None:
-            ap.error(f"unknown config field {key!r}")
+            raise ValueError(f"unknown config field {key!r}")
         if action.type is not None:
             text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
             try:
                 loaded[key] = action.type(text)
-            except (ValueError, TypeError, argparse.ArgumentTypeError):
-                ap.error(f"config field {key!r}: invalid value {value!r}")
-        elif not isinstance(value, bool if action.nargs == 0 else str):  # a switch or a string
-            ap.error(f"config field {key!r}: invalid value {value!r}")
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"config field {key!r}: {exc}") from None
+        elif (not isinstance(value, bool if action.nargs == 0 else str)
+              or action.choices and value not in action.choices):
+            raise ValueError(f"config field {key!r}: invalid value {value!r}")
+    for action in required:
+        action.required = action.dest not in loaded
     sub.set_defaults(**loaded)
     return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.config:
-        args = _apply_config(ap, args, argv)
-    if getattr(args, "subcommand", None) == "tail-law" and not args.lambdas:
-        ap.error("--lambdas must be a non-empty list for tail-law")
-    if args.subcommand in ("rate", "tail-law"):
-        try:
-            _rate_options(args)
-        except ValueError as exc:
-            ap.error(str(exc))
-    if args.out is None:
-        args.out = _default_out()
     try:
+        args = _parse_args(build_parser(), argv)
         return args.fn(args)
     except (ValueError, solver.SolverInstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

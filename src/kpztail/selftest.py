@@ -385,8 +385,8 @@ def tail_law(lams, opts: RateOptions):
     At each depth rate_phi runs from rho_star (with its certificate) and from
     half_rho_star (without).  Every depth is checked against the rate node
     budget before any is solved.  Yields, depth by depth, the table row and
-    the rho_star and half_rho_star reports, so that no depth's minimizers
-    outlive the next depth's solves.
+    the rho_star and half_rho_star reports without their minimizers, so that
+    no depth's minimizers outlive the next depth's solves.
     """
     for lam in lams:
         check_node_budget(lam, opts)
@@ -397,6 +397,9 @@ def tail_law(lams, opts: RateOptions):
             f"lam_{lam}", lam, rep.phi_hat, rep.scaled_ratio, rep.upper_certificate / lam**1.5,
             minimizer_distance(rep) if rep.converged else float("nan"),
             abs(rep.phi_hat - rep_b.phi_hat) / max(rep.phi_hat, 1e-12), int(rep.converged))
+        # the consumers read the reports' scalars; the minimizers go before the
+        # next depth's solves
+        rep, rep_b = replace(rep, minimizer=None), replace(rep_b, minimizer=None)
         yield row, rep, rep_b
 
 

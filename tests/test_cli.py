@@ -1,8 +1,11 @@
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -81,11 +84,10 @@ def test_rate_subcommand(tmp_path):
                         "iterations", "upper_certificate", "converged"}
 
 
-def test_tail_law_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        main(["tail-law", "--out", str(tmp_path)])
-    assert err.value.code == 2
-    assert not (tmp_path / "tail_law.csv").exists()
+def test_tail_law_usage_error(tmp_path, capsys):
+    assert main(["tail-law", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: the following arguments are required: --lambdas\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_limit_shape_subcommand(tmp_path):
@@ -119,6 +121,9 @@ def test_config_file_with_flag_override(tmp_path):
     rep = json.loads(read(out / "fk_estimate.json"))
     assert rep["n_paths"] == 1234       # from the config file
     assert rep["duration"] == 1.0       # flag wins over the file
+    # the file also stands in for a required flag
+    assert main(["fk", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert json.loads(read(out / "fk_estimate.json"))["duration"] == 2.0
 
 
 def test_config_values_use_option_types(tmp_path):
@@ -149,33 +154,46 @@ def test_config_values_use_option_types(tmp_path):
 def test_config_bad_value_is_usage_error(tmp_path, capsys, subcommand, field):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(field))
-    with pytest.raises(SystemExit) as err:
-        main([subcommand, "--config", str(cfgfile), "--out", str(tmp_path / "out")])
-    assert err.value.code == 2
-    assert next(iter(field)) in capsys.readouterr().err
+    assert main([subcommand, "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(next(iter(field))) in err
     assert not (tmp_path / "out").exists()
 
 
+# a case's id names the check it was first written for, and stays fixed, so
+# that its results compare across versions
 @pytest.mark.parametrize("argv, message", [
-    (["rate", "--lambda", "1", "--dt", "0"], "dt must be positive"),
+    pytest.param(["rate", "--lambda", "1", "--dt", "0"],
+                 "argument --dt: must be positive and finite, got '0'",
+                 id="argv0-dt must be positive"),
     (["rate", "--lambda", "1", "--dt", "0.001"], "dt must exceed the delta warm-up time"),
-    (["rate", "--lambda", "1", "--max-iterations", "0"], "max_iterations must be >= 1"),
-    (["rate", "--lambda", "1", "--zeta", "-1"], "zeta_candidates must be positive"),
-    (["tail-law", "--lambdas", "4", "--dt", "nan"], "dt must be positive"),
-    (["tail-law", "--lambdas", "4", "--max-iterations", "-3"], "max_iterations must be >= 1"),
+    pytest.param(["rate", "--lambda", "1", "--max-iterations", "0"],
+                 "argument --max-iterations: must be an integer in [1, inf], got '0'",
+                 id="argv2-max_iterations must be >= 1"),
+    pytest.param(["rate", "--lambda", "1", "--zeta", "-1"],
+                 "argument --zeta: must be positive and finite, got '-1'",
+                 id="argv3-zeta_candidates must be positive"),
+    pytest.param(["tail-law", "--lambdas", "4", "--dt", "nan"],
+                 "argument --dt: must be positive and finite, got 'nan'",
+                 id="argv4-dt must be positive"),
+    pytest.param(["tail-law", "--lambdas", "4", "--max-iterations", "-3"],
+                 "argument --max-iterations: must be an integer in [1, inf], got '-3'",
+                 id="argv5-max_iterations must be >= 1"),
     (["rate", "--lambda", "1", "--dt", "1e-320"], "dt must exceed the delta warm-up time"),
     # dx = 20 cannot resolve sech^2; this once reported a "converged" phi_hat of 63.90
     (["rate", "--lambda", "4", "--n-points", "3"], "too coarse to resolve sech^2"),
     (["tail-law", "--lambdas", "4", "--n-points", "41"], "too coarse to resolve sech^2"),
     # 2e7 time steps on 801 nodes
     (["rate", "--lambda", "1", "--dt", "1e-7"], "dt must exceed the delta warm-up time"),
-    (["rate", "--lambda", "1", "--zeta", "inf"], "zeta_candidates must be positive and finite"),
+    pytest.param(["rate", "--lambda", "1", "--zeta", "inf"],
+                 "argument --zeta: must be positive and finite, got 'inf'",
+                 id="argv10-zeta_candidates must be positive and finite"),
 ])
 def test_bad_rate_options_are_usage_errors(tmp_path, capsys, argv, message):
-    with pytest.raises(SystemExit) as err:
-        main([*argv, "--out", str(tmp_path / "out")])
-    assert err.value.code == 2
-    assert message in capsys.readouterr().err
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -230,11 +248,14 @@ HIT = ["hitting-time", "--t", "1", "--x", "1", "--lambda", "4"]
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, message", [
     # one path fits the path-step budget, but 2e9 and 1e10 steps would take
-    # hours of the step loop at about 18 us per step
+    # hours of the step loop at about 18 us per step (ids as in
+    # test_bad_rate_options_are_usage_errors)
     (["fk", "--duration", "1e8", "--paths", "1"],
      "2000000000 time steps over duration 1e+08 exceed the bridge limit of 1e+05 steps"),
-    ([*HIT, "--paths", "1", "--steps", "10000000000"],
-     "--paths and --steps: 10000000000 time steps over duration 4 exceed the bridge limit"),
+    pytest.param([*HIT, "--paths", "1", "--steps", "10000000000"],
+                 "argument --steps: must be 0 or an integer in [2, 100000], got '10000000000'",
+                 id="argv1---paths and --steps: 10000000000 time steps over duration 4 exceed "
+                    "the bridge limit"),
     # arrays allocated at once: 4e10 grid nodes (320 GB), 2e14 (1.42 PiB) at a
     # half-width of 1e12, 1e11 bin edges (745 GiB), and 5e9 hitting times
     # (37 GiB) from runs within the path-step budget
@@ -242,15 +263,24 @@ HIT = ["hitting-time", "--t", "1", "--x", "1", "--lambda", "4"]
     (["fk", "--duration", "1", "--dx", "1e-9"], "--dx and --half-width: step 1e-09"),
     (["rearrange-check", "--dx", "1e-9"], "--dx and --half-width: step 1e-09 on [-10, 10]"),
     (["spectral", "--half-width", "1e12"], "--dx and --half-width: step 0.01 on [-1e+12, 1e+12]"),
-    ([*HIT, "--paths", "100", "--bins", "100000000000"], "--bins must be at most 100000"),
-    ([*HIT, "--paths", "5000000000", "--steps", "2"],
-     "--paths and --steps: 5000000000 paths exceed the first-hitting limit of 1e+07 paths"),
+    pytest.param([*HIT, "--paths", "100", "--bins", "100000000000"],
+                 "argument --bins: must be an integer in [1, 100000], got '100000000000'",
+                 id="argv6---bins must be at most 100000"),
+    pytest.param([*HIT, "--paths", "5000000000", "--steps", "2"],
+                 "argument --paths: must be an integer in [1, 10000000], got '5000000000'",
+                 id="argv7---paths and --steps: 5000000000 paths exceed the first-hitting "
+                    "limit of 1e+07 paths"),
     # at about 0.25 ms per trial, 1e9 trials would take three days
-    (["rearrange-check", "--trials", "1000000000"], "--trials must be at most 100000"),
+    pytest.param(["rearrange-check", "--trials", "1000000000"],
+                 "argument --trials: must be an integer in [1, 100000], got '1000000000'",
+                 id="argv8---trials must be at most 100000"),
     # at about 0.2 s per trial on 800001 nodes, 1e5 trials would take 5.5 hours
     (["rearrange-check", "--dx", "0.000025", "--trials", "100000"],
      "--trials, --dx and --half-width: 100000 trials on 800001 grid nodes exceed the limit of "
      "4.01e+07 trial-nodes"),
+    # --steps 0 takes 20 steps per unit duration: 8e6 over lam t = 4e5
+    (["hitting-time", "--t", "100000", "--x", "1", "--lambda", "4", "--paths", "1", "--steps", "0"],
+     "--paths and --steps: 8000000 time steps over duration 400000 exceed the bridge limit"),
 ])
 def test_work_or_size_over_its_limit_is_an_error(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli.bridge, "_bridge_steps", lambda *a, **k: pytest.fail("ran before the check"))
@@ -357,7 +387,9 @@ def test_tail_law_table_is_criterion_6s(tmp_path):
 @pytest.mark.parametrize("lambdas", ["0,4", "4,32.5", "nan"])
 def test_tail_law_depth_outside_rate_range_is_an_error(tmp_path, capsys, lambdas):
     assert main(["tail-law", "--lambdas", lambdas, "--out", str(tmp_path / "out")]) == 2
-    assert "--lambdas entries must lie in (0, 32]" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: argument --lambdas: must be a non-empty "
+                                       "comma-separated list of depths in (0, 32], "
+                                       f"got {lambdas!r}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -372,26 +404,44 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert proc.stdout.strip() == "False"
 
 
+# ids as in test_bad_rate_options_are_usage_errors
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, message", [
-    (["limit-shape", "--lambda", "8", "--delta", "0.5", "--dx", "0"], "dx must be positive"),
+    pytest.param(["limit-shape", "--lambda", "8", "--delta", "0.5", "--dx", "0"],
+                 "argument --dx: must be positive and finite, got '0'",
+                 id="argv0-dx must be positive"),
     (["limit-shape", "--lambda", "8", "--delta", "0.5", "--dt", "0.001"],
      "dt must exceed the delta warm-up time"),
-    (["limit-shape", "--lambda", "8", "--delta", "0.5", "--backend", "mc", "--paths", "0"],
-     "mc_paths must be >= 1"),
+    pytest.param(["limit-shape", "--lambda", "8", "--delta", "0.5", "--backend", "mc",
+                  "--paths", "0"], "argument --paths: must be an integer in [1, inf], got '0'",
+                 id="argv2-mc_paths must be >= 1"),
     (["fk", "--duration", "200", "--amplitude", "5", "--paths", "1000"], "overflow"),
-    (["fk", "--duration", "inf", "--paths", "100"], "duration must be positive and finite"),
-    (["fk", "--duration", "1", "--from", "nan", "--paths", "100"], "end points must be finite"),
-    (["rearrange-check", "--trials", "0"], "--trials must be >= 1"),
-    (["rearrange-check", "--trials", "-1"], "--trials must be >= 1"),
-    (["hitting-time", "--t", "1", "--x", "0.5", "--lambda", "4", "--bins", "0"],
-     "--bins must be >= 1"),
-    (["hitting-time", "--t", "1", "--x", "nan", "--lambda", "4", "--paths", "100"],
-     "--x and --lambda must be finite"),
-    (["hitting-time", "--t", "inf", "--x", "0.5", "--lambda", "4", "--paths", "100"],
-     "--x and --lambda must be finite"),
-    (["limit-shape", "--lambda", "inf", "--delta", "0.5"], "finite lam >= 4"),
-    (["rate", "--lambda", "0"], "lam must lie in (0, 32]"),
+    pytest.param(["fk", "--duration", "inf", "--paths", "100"],
+                 "argument --duration: must be positive and finite, got 'inf'",
+                 id="argv4-duration must be positive and finite"),
+    pytest.param(["fk", "--duration", "1", "--from", "nan", "--paths", "100"],
+                 "argument --from: must be finite, got 'nan'",
+                 id="argv5-end points must be finite"),
+    pytest.param(["rearrange-check", "--trials", "0"],
+                 "argument --trials: must be an integer in [1, 100000], got '0'",
+                 id="argv6---trials must be >= 1"),
+    pytest.param(["rearrange-check", "--trials", "-1"],
+                 "argument --trials: must be an integer in [1, 100000], got '-1'",
+                 id="argv7---trials must be >= 1"),
+    pytest.param(["hitting-time", "--t", "1", "--x", "0.5", "--lambda", "4", "--bins", "0"],
+                 "argument --bins: must be an integer in [1, 100000], got '0'",
+                 id="argv8---bins must be >= 1"),
+    pytest.param(["hitting-time", "--t", "1", "--x", "nan", "--lambda", "4", "--paths", "100"],
+                 "argument --x: must be finite, got 'nan'",
+                 id="argv9---x and --lambda must be finite"),
+    pytest.param(["hitting-time", "--t", "inf", "--x", "0.5", "--lambda", "4", "--paths", "100"],
+                 "argument --t: must be positive and finite, got 'inf'",
+                 id="argv10---x and --lambda must be finite"),
+    pytest.param(["limit-shape", "--lambda", "inf", "--delta", "0.5"],
+                 "argument --lambda: must be positive and finite, got 'inf'",
+                 id="argv11-finite lam >= 4"),
+    pytest.param(["rate", "--lambda", "0"], "argument --lambda: must be a depth in (0, 32], got '0'",
+                 id="argv12-lam must lie in (0, 32]"),
     (["hitting-time", "--t", "1", "--x", "1e300", "--lambda", "4", "--paths", "100"],
      "--x 1e+300, --lambda 4: the hitting density leaves the float range"),
     (["hitting-time", "--t", "1", "--x", "1", "--lambda", "1e300", "--paths", "100"],
@@ -400,11 +450,19 @@ def test_cli_import_leaves_out_scipy_integrate():
      "--t 1e-300, --x 1, --lambda 4: the hitting density leaves the float range"),
     (["hitting-time", "--t", "1", "--x", "1e100", "--lambda", "4", "--paths", "2000"],
      "--t 1, --x 1e+100, --lambda 4: the hitting density underflows to 0 at every tabulated s"),
+    # limit-shape's depth is not rate's: it only has to be positive and finite, and
+    # shape_profile refuses lam < 4
+    (["limit-shape", "--lambda", "2", "--delta", "0.5"], "finite lam >= 4, got 2.0"),
+    # an empty list no longer means every criterion, which takes minutes
+    (["selftest", "--criteria", ","], "argument --criteria: must be a non-empty comma-separated "
+     "list of criteria from 1, 2, 3, 4, 5, 6, 7, 8, 9, got ','"),
+    (["selftest", "--criteria", "99"], "argument --criteria: must be a non-empty comma-separated "
+     "list of criteria from 1, 2, 3, 4, 5, 6, 7, 8, 9, got '99'"),
 ])
 def test_bad_values_of_other_subcommands_are_errors(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert message in err and err.count("\n") == 1
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -417,7 +475,8 @@ def test_bad_values_of_other_subcommands_are_errors(tmp_path, capsys, argv, mess
 def test_bad_width_is_an_error(tmp_path, capsys, argv, width):
     # checked before the potential divides by it
     assert main([*argv, "--width", width, "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == f"error: --width must be positive and finite, got {width}\n"
+    assert capsys.readouterr().err == (f"error: argument --width: must be positive and finite, "
+                                       f"got {width!r}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -460,7 +519,7 @@ def test_spectral_width_that_flattens_the_potential_is_an_error(tmp_path, capsys
 ], ids=["spectral", "fk"])
 def test_bad_amplitude_or_center_is_an_error(tmp_path, capsys, argv, flag, value):
     assert main([*argv, flag, value, "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == f"error: {flag} must be finite, got {value}\n"
+    assert capsys.readouterr().err == f"error: argument {flag}: must be finite, got {value!r}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -488,12 +547,13 @@ def test_far_center_overflows_quietly(tmp_path, capsys, phi):
 
 @pytest.mark.parametrize("argv", [["spectral"], ["rate", "--lambda", "1"],
                                   ["tail-law", "--lambdas", "4"], ["figure1"], ["selftest"]])
-def test_seed_only_where_it_is_read(capsys, argv):
+def test_seed_only_where_it_is_read(tmp_path, capsys, argv):
     # these subcommands read no seed
-    with pytest.raises(SystemExit) as err:
-        main([*argv, "--seed", "5"])
-    assert err.value.code == 2
-    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert main([*argv, "--seed", "5", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unrecognized arguments: --seed" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("body", [None, "{not json", "[1, 2]"])
@@ -501,10 +561,11 @@ def test_config_file_unreadable_is_usage_error(tmp_path, capsys, body):
     cfgfile = tmp_path / "cfg.json"
     if body is not None:
         cfgfile.write_text(body)
-    with pytest.raises(SystemExit) as err:
-        main(["figure1", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
-    assert err.value.code == 2
-    assert "config file" in capsys.readouterr().err
+    assert main(["figure1", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --config: ") and err.count("\n") == 1
+    assert "config file" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_selftest_quick_deterministic(tmp_path):
@@ -535,3 +596,112 @@ def test_readme_cli_block_parses():
         words = line.split("#", 1)[0].split()
         assert words[0] == "kpztail", line
         cli.build_parser().parse_args(words[1:])
+
+
+def _typed_flags():
+    """(subcommand, action) for every flag of the parser that converts or restricts its text."""
+    ap = cli.build_parser()
+    subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, action) for name, sub in subparsers.choices.items() for action in sub._actions
+            if action.type is not None or action.choices is not None
+            or isinstance(action.default, (int, float)) and not isinstance(action.default, bool)]
+
+
+def test_every_numeric_flag_has_a_declared_domain():
+    bare = [f"{name} {action.option_strings[0]}" for name, action in _typed_flags()
+            if action.type in (None, int, float) and action.choices is None]
+    assert not bare, f"flags without a declared domain: {bare}"
+
+
+# each subcommand's required flags, at accepted values
+REQUIRED = {
+    "rate": {"--lambda": "4"},
+    "tail-law": {"--lambdas": "4"},
+    "limit-shape": {"--lambda": "8", "--delta": "0.5"},
+    "hitting-time": {"--t": "1", "--x": "1", "--lambda": "4"},
+    "fk": {"--duration": "1"},
+}
+# one value outside the domain of every flag that has one
+OUT_OF_DOMAIN = [
+    ("spectral", "--dx", "0"), ("spectral", "--half-width", "-1"),
+    ("spectral", "--phi", "bogus"), ("spectral", "--amplitude", "nan"),
+    ("spectral", "--width", "inf"), ("spectral", "--center", "-inf"),
+    ("rearrange-check", "--seed", "-1"), ("rearrange-check", "--dx", "nan"),
+    ("rearrange-check", "--half-width", "0"), ("rearrange-check", "--trials", "100001"),
+    ("rate", "--lambda", "nan"), ("rate", "--zeta", "0"), ("rate", "--n-points", "0"),
+    ("rate", "--dt", "inf"), ("rate", "--max-iterations", "-1"),
+    ("tail-law", "--lambdas", ","), ("tail-law", "--n-points", "2.5"),
+    ("tail-law", "--dt", "-0.01"), ("tail-law", "--max-iterations", "0"),
+    ("limit-shape", "--seed", str(2**128)), ("limit-shape", "--lambda", "0"),
+    ("limit-shape", "--delta", "nan"), ("limit-shape", "--backend", "gpu"),
+    ("limit-shape", "--dx", "inf"), ("limit-shape", "--dt", "nan"),
+    ("limit-shape", "--paths", "0"),
+    ("hitting-time", "--seed", "1.5"), ("hitting-time", "--t", "0"),
+    ("hitting-time", "--x", "nan"), ("hitting-time", "--lambda", "-4"),
+    ("hitting-time", "--paths", "10000001"), ("hitting-time", "--bins", "0"),
+    ("hitting-time", "--steps", "1"),
+    ("fk", "--seed", "-1"), ("fk", "--dx", "-0.01"), ("fk", "--half-width", "inf"),
+    ("fk", "--phi", "sech"), ("fk", "--amplitude", "inf"), ("fk", "--width", "0"),
+    ("fk", "--center", "nan"), ("fk", "--duration", "0"), ("fk", "--from", "inf"),
+    ("fk", "--to", "nan"), ("fk", "--paths", "0"),
+    ("selftest", "--criteria", ","), ("selftest", "--criteria", "99"),
+]
+
+
+def test_out_of_domain_table_covers_every_flag():
+    table = {(name, flag) for name, flag, _ in OUT_OF_DOMAIN}
+    flags = {(name, action.option_strings[0]) for name, action in _typed_flags()}
+    assert table == flags
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("source", ["argv", "config"])
+@pytest.mark.parametrize("subcommand, flag, value", OUT_OF_DOMAIN)
+def test_value_outside_its_domain_is_one_error_line(tmp_path, capsys, source, subcommand, flag,
+                                                    value):
+    argv = [subcommand]
+    for required, good in REQUIRED.get(subcommand, {}).items():
+        if required != flag:
+            argv += [required, good]
+    if source == "argv":
+        argv += [flag, value]
+        named = f"argument {flag}: "
+    else:
+        dest = next(a.dest for name, a in _typed_flags()
+                    if name == subcommand and a.option_strings[0] == flag)
+        try:
+            field = json.loads(value)  # a number where JSON has one, else the text
+        except ValueError:
+            field = value
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({dest: field}))
+        argv += ["--config", str(cfgfile)]
+        named = f"config field {dest!r}: "
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("consumer", ["criterion_6", "cli"])
+def test_tail_law_frees_each_depths_minimizers(tmp_path, monkeypatch, consumer):
+    # no earlier depth's minimizer may be alive when a later depth's solve starts
+    real = selftest.rate_phi
+    minimizers = []  # (lam, weak reference to its minimizer), one per solve
+    held = []  # (lam, earlier depths whose minimizers were alive at its solve's start)
+
+    def spy(lam, opts):
+        held.append((lam, [m for m, ref in minimizers if m < lam and ref() is not None]))
+        rep = real(lam, opts)
+        minimizers.append((lam, weakref.ref(rep.minimizer)))
+        return rep
+
+    monkeypatch.setattr(selftest, "rate_phi", spy)
+    if consumer == "criterion_6":
+        selftest.check_tail_law(replace(selftest.QUICK, tail_lambdas=(1.0, 2.0), tail_n_points=81,
+                                        tail_dt=0.05))
+    else:
+        main(["tail-law", "--lambdas", "1,2", "--n-points", "81", "--dt", "0.05",
+              "--out", str(tmp_path / "out")])
+    assert held == [(1.0, []), (1.0, []), (2.0, []), (2.0, [])]
