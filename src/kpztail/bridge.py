@@ -496,6 +496,15 @@ class ShapeOptions:
         for name in ("mc_t_count", "mc_x_count", "mc_paths"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.mc_seed < 2**128 - self.mc_seed_offset:
+            raise ValueError(f"mc_seed must lie in [0, 2**128 - {self.mc_seed_offset}), "
+                             f"got {self.mc_seed}")
+
+    @property
+    def mc_seed_offset(self) -> int:
+        """The largest offset the mc backend adds to mc_seed: its calls' seeds are
+        mc_seed + 1000 i + j, each a Philox key in [0, 2**128)."""
+        return 1000 * (self.mc_t_count - 1) + self.mc_x_count - 1
 
 
 @dataclass(frozen=True)

@@ -76,8 +76,15 @@ def _count(cap: float = math.inf):
 
 
 def _list_of(what: str, item):
-    return _domain(f"a non-empty comma-separated list of {what}",
-                   lambda text: [item(v) for v in text.split(",") if v], bool)
+    return _domain(f"a non-empty comma-separated list of distinct {what}",
+                   lambda text: [item(v) for v in text.split(",") if v],
+                   lambda values: values and len(set(values)) == len(values))
+
+
+def _seed(offset: int = 0):
+    """A Philox key that stays one when `offset` is added to it."""
+    top = f"2**128 - {offset}" if offset else "2**128"
+    return _domain(f"an integer in [0, {top})", int, lambda v: 0 <= v < 2**128 - offset)
 
 
 _FINITE = _domain("finite", float, math.isfinite)
@@ -86,7 +93,6 @@ _DEPTH = _domain("a depth in (0, 32]", float, lambda v: 0 < v <= 32)  # rate_phi
 _DEPTHS = _list_of("depths in (0, 32]", _DEPTH)
 _CRITERIA = _list_of(f"criteria from {', '.join(map(str, selftest.CHECKS))}",
                      _domain("a criterion", int, selftest.CHECKS.__contains__))
-_SEED = _domain("an integer in [0, 2**128)", int, lambda v: 0 <= v < 2**128)  # a Philox key
 _STEPS = _domain(f"0 or an integer in [2, {bridge.MAX_BRIDGE_STEPS}]", int,
                  lambda v: v == 0 or 2 <= v <= bridge.MAX_BRIDGE_STEPS)
 
@@ -262,6 +268,8 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_tail_law(args) -> int:
+    if args.lambdas is None:
+        raise ValueError("--lambdas is required, on the command line or in --config")
     lams = sorted(args.lambdas)
     rows = [row for row, _, _ in selftest.tail_law(lams, _rate_options(args))]
     ratios = [row.ratio for row in rows]
@@ -390,13 +398,14 @@ def _cmd_selftest(args) -> int:
 
 # --- parser ----------------------------------------------------------------------
 
-def _add_common(p, seed: bool = False):
-    """--out and --config; --seed only for the subcommands that draw random numbers."""
+def _add_common(p, seed=None):
+    """--out and --config; --seed, of type `seed`, only for the subcommands that
+    draw random numbers."""
     p.add_argument("--out", default=os.environ.get("KPZTAIL_OUT", "out"),
                    help="output directory (default $KPZTAIL_OUT or ./out)")
     p.add_argument("--config", default=None, help="JSON file with defaults; flags win")
     if seed:
-        p.add_argument("--seed", type=_SEED, default=12345)
+        p.add_argument("--seed", type=seed, default=12345)
 
 
 def _add_grid_flags(p, dx=0.01, half_width=20.0):
@@ -428,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_spectral)
 
     p = sub.add_parser("rearrange-check", help="randomized rearrangement suite")
-    _add_common(p, seed=True)
+    _add_common(p, seed=_seed())
     _add_grid_flags(p, dx=0.05, half_width=10.0)
     p.add_argument("--trials", type=_count(MAX_TRIALS), default=100)
     p.set_defaults(fn=_cmd_rearrange_check)
@@ -442,13 +451,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tail-law", help="scaled rate values across tail depths")
     _add_common(p)
-    p.add_argument("--lambdas", type=_DEPTHS, required=True,
-                   help="comma-separated depths, e.g. 4,8,16")
+    # required, but a --config file may give it instead
+    p.add_argument("--lambdas", type=_DEPTHS, help="comma-separated depths, e.g. 4,8,16")
     _add_rate_flags(p)
     p.set_defaults(fn=_cmd_tail_law)
 
     p = sub.add_parser("limit-shape", help="tilted-height field vs the limit shape")
-    _add_common(p, seed=True)  # read by the mc backend
+    # read by the mc backend, which adds up to mc_seed_offset to it
+    _add_common(p, seed=_seed(bridge.ShapeOptions().mc_seed_offset))
     p.add_argument("--lambda", dest="lam", type=_POSITIVE, required=True)
     p.add_argument("--delta", type=_POSITIVE, required=True)
     p.add_argument("--backend", choices=("pde", "mc"), default="pde")
@@ -458,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_limit_shape)
 
     p = sub.add_parser("hitting-time", help="first-hitting density table and MC histogram")
-    _add_common(p, seed=True)
+    _add_common(p, seed=_seed())
     p.add_argument("--t", type=_POSITIVE, required=True)
     p.add_argument("--x", type=_FINITE, required=True)
     p.add_argument("--lambda", dest="lam", type=_POSITIVE, required=True)
@@ -469,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_hitting_time)
 
     p = sub.add_parser("fk", help="Monte Carlo Feynman-Kac estimate")
-    _add_common(p, seed=True)
+    _add_common(p, seed=_seed())
     _add_grid_flags(p)
     _add_potential_flags(p)
     p.add_argument("--duration", type=_POSITIVE, required=True)
@@ -491,51 +501,47 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _parse_args(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """Parse argv with the --config file's values as the subcommand's defaults.
+def _apply_config(ap: argparse.ArgumentParser, args, argv) -> argparse.Namespace:
+    """Parse again with the --config file's values as the subcommand's defaults.
 
-    A first pass, with no flag required, finds the subcommand and the file.
-    A file value is converted by the option's own type= from the text it would
+    A value is converted by the option's own type= from the text it would
     have after the flag (a list as its comma-joined items), so it is checked
-    as that text would be.  A switch takes a JSON boolean and an option
-    without type= a string among its choices.  A flag that the file sets is
-    no longer required; flags on the command line still win.
+    as that text would be, even where a flag overrides it.  A switch takes a
+    JSON boolean and an option without type= a string among its choices.
+    Flags on the command line still win.
     """
-    subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    required = [a for sub in subparsers.choices.values() for a in sub._actions if a.required]
-    for action in required:
-        action.required = False
-    args = ap.parse_args(argv)
     try:
-        loaded = json.loads(Path(args.config).read_text()) if args.config else {}
+        loaded = json.loads(Path(args.config).read_text())
     except (OSError, ValueError) as exc:
-        raise ValueError(f"--config: cannot read config file {args.config}: {exc}") from None
+        ap.error(f"--config: cannot read config file {args.config}: {exc}")
     if not isinstance(loaded, dict):
-        raise ValueError(f"--config: config file {args.config} must hold a JSON object")
+        ap.error(f"--config: config file {args.config} must hold a JSON object")
+    subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     sub = subparsers.choices[args.subcommand]
     actions = {a.dest: a for a in sub._actions if a.dest != "help"}
     for key, value in loaded.items():
         action = actions.get(key)
         if action is None:
-            raise ValueError(f"unknown config field {key!r}")
+            ap.error(f"unknown config field {key!r}")
         if action.type is not None:
             text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
             try:
                 loaded[key] = action.type(text)
             except argparse.ArgumentTypeError as exc:
-                raise ValueError(f"config field {key!r}: {exc}") from None
+                ap.error(f"config field {key!r}: {exc}")
         elif (not isinstance(value, bool if action.nargs == 0 else str)
               or action.choices and value not in action.choices):
-            raise ValueError(f"config field {key!r}: invalid value {value!r}")
-    for action in required:
-        action.required = action.dest not in loaded
+            ap.error(f"config field {key!r}: invalid value {value!r}")
     sub.set_defaults(**loaded)
     return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _parse_args(build_parser(), argv)
+        ap = build_parser()
+        args = ap.parse_args(argv)
+        if args.config:
+            args = _apply_config(ap, args, argv)
         return args.fn(args)
     except (ValueError, solver.SolverInstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

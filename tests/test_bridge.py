@@ -327,6 +327,40 @@ def test_shape_profile_config_error():
         shape_profile(8.0, 0.5, "weird")
     with pytest.raises(ValueError):
         shape_profile(2.0, 0.5, "pde")
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite lam >= 4"):
+            shape_profile(lam, 0.5, "pde")
+
+
+# The CLI's flag domains refuse these values before the library sees them,
+# so the library's own checks are tested here.
+
+def test_first_hitting_times_path_limit(monkeypatch):
+    # one more path than MAX_HITTING_PATHS is refused before its times are allocated
+    monkeypatch.setattr(bridge, "_iter_blocks", lambda *a: pytest.fail("ran before the check"))
+    cfg = BridgeConfig(n_paths=bridge.MAX_HITTING_PATHS + 1, n_time_steps=2)
+    with pytest.raises(bridge.BridgeLimitError, match="exceed the first-hitting limit"):
+        first_hitting_times(1.0, 1.0, cfg)
+
+
+@pytest.mark.parametrize("duration, start, end, message", [
+    (math.inf, 0.0, 0.0, "duration must be positive and finite"),
+    (math.nan, 0.0, 0.0, "duration must be positive and finite"),
+    (0.0, 0.0, 0.0, "duration must be positive and finite"),
+    (1.0, math.nan, 0.0, "end points must be finite"),
+    (1.0, 0.0, math.inf, "end points must be finite"),
+])
+def test_fk_estimate_rejects_bad_duration_and_end_points(phi20, duration, start, end, message):
+    with pytest.raises(ValueError, match=message):
+        fk_estimate(phi20, duration, start, end, BridgeConfig(n_paths=10))
+
+
+def test_shape_options_top_mc_seed_is_a_philox_key():
+    # the default 4 x 9 calls add up to 3008 to mc_seed; the top seed still runs
+    top = 2**128 - 3009
+    assert ShapeOptions().mc_seed_offset == 3008
+    prof = shape_profile(8.0, 0.5, "mc", ShapeOptions(mc_paths=1, mc_seed=top))
+    assert np.all(np.isfinite(prof.h_values))
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -339,6 +373,8 @@ def test_shape_profile_config_error():
     ("mc_t_count", 0, "mc_t_count must be >= 1"),
     ("mc_x_count", 0, "mc_x_count must be >= 1"),
     ("mc_paths", 0, "mc_paths must be >= 1"),
+    ("mc_seed", -1, r"mc_seed must lie in \[0, 2\*\*128 - 3008\)"),
+    ("mc_seed", 2**128 - 3008, r"mc_seed must lie in \[0, 2\*\*128 - 3008\)"),
 ])
 def test_shape_options_reject_bad_values(field, value, message):
     with pytest.raises(ValueError, match=message):

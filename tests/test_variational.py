@@ -134,6 +134,8 @@ def test_rate_phi_rejects_out_of_range():
         rate_phi(-1.0, QUICK)
     with pytest.raises(ValueError, match=r"lam must lie in \(0, 32\]"):
         rate_phi(0.0, QUICK)
+    with pytest.raises(ValueError, match=r"lam must lie in \(0, 32\]"):
+        rate_phi(float("nan"), QUICK)
     with pytest.raises(ValueError, match="lam must be positive"):
         upper_certificate(0.0, 0.1)
     # dt = 0.3 does not divide the horizon 2 lam = 2; it is not snapped to 2/7
